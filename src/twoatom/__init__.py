@@ -11,9 +11,8 @@ from .basis import (CollectiveBasis, SuperpositionCoeffs, basis_transform,
 from .dynamics import (EvolutionSeries, Generator, build_bad_cavity,
                        build_dicke_dressed, build_squeezed,
                        build_vacuum_drive, evolve, steady_state)
-from .jumps import (ConditionalHamiltonian, JumpEnsemble, TrajectoryRecord,
-                    conditional_hamiltonian, export_records,
-                    no_jump_probability, reset_state, run_trajectories,
+from .jumps import (JumpEnsemble, TrajectoryRecord, export_records,
+                    no_jump_probability, run_trajectories,
                     waiting_time_density)
 from .observables import (CorrelationSeries, DetectionGeometry,
                           angular_intensity, field_variance_mapping, g2_tau,

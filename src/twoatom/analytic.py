@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DomainError, ValidityWarning
+from .errors import ValidityWarning
 from .operators import KET_EE, KET_GG, SM, SP
 
 MARGIN = 10.0
@@ -384,72 +384,3 @@ def emitted_variance_dicke(n_eff: float, m_eff: float) -> float:
     """Same quadrature of the fluorescence from the stationary small
     sample; the incident fluctuations scaled by 1/(2 n_eff + 1)."""
     return 2.0 * (n_eff - m_eff) / (2.0 * n_eff + 1.0)
-
-
-# ----------------------------------------------------------------------
-# scenario dispatch
-# ----------------------------------------------------------------------
-
-STEADY_SCENARIOS = {
-    "driven_perpendicular": driven_steady_state,
-    "driven_extended_correlators": driven_correlators_extended,
-    "driven_dicke_correlators": driven_correlators_dicke,
-    "squeezed_dicke": squeezed_steady_dicke,
-    "squeezed_finite": squeezed_steady_finite,
-    "squeezed_secular": squeezed_steady_secular,
-}
-
-INTENSITY_SCENARIOS = {
-    "beats_frequency_split": beat_intensity_frequency_split,
-    "beats_rate_split": beat_intensity_rate_split,
-    "population_decay": population_decay,
-    "pulse_symmetric": pulse_symmetric_population,
-}
-
-G2_SCENARIOS = {
-    "dressed": dressed_g2,
-    "driven_zero_delay": driven_g2_zero,
-    "detuned_anticorrelation": anticorrelation_detuned,
-    "transient_identical": transient_g2_identical,
-    "transient_independent": transient_g2_independent,
-}
-
-VARIANCE_SCENARIOS = {
-    "transient_inphase": transient_variance_inphase,
-    "transient_quadrature": transient_variance_quadrature,
-    "twophoton_profile": twophoton_variance_profile,
-}
-
-VISIBILITY_SCENARIOS = {
-    "driven": driven_visibility,
-    "squeezed": squeezed_visibility,
-}
-
-
-def _dispatch(table: dict, tag: str, *args, **kwargs):
-    try:
-        fn = table[tag]
-    except KeyError:
-        raise DomainError(f"unknown scenario '{tag}'; "
-                          f"available: {sorted(table)}") from None
-    return fn(*args, **kwargs)
-
-
-def analytic_steady(tag: str, **params):
-    return _dispatch(STEADY_SCENARIOS, tag, **params)
-
-
-def analytic_intensity(tag: str, t, **params):
-    return _dispatch(INTENSITY_SCENARIOS, tag, t, **params)
-
-
-def analytic_g2(tag: str, *args, **params):
-    return _dispatch(G2_SCENARIOS, tag, *args, **params)
-
-
-def analytic_variance(tag: str, *args, **params):
-    return _dispatch(VARIANCE_SCENARIOS, tag, *args, **params)
-
-
-def analytic_visibility(tag: str, **params):
-    return _dispatch(VISIBILITY_SCENARIOS, tag, **params)

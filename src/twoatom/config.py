@@ -17,6 +17,10 @@ GENERATORS = ("vacuum_drive", "squeezed", "dicke_dressed", "bad_cavity")
 INITIAL_STATES = ("ground", "excited_one", "excited_two", "excited_both",
                   "symmetric", "antisymmetric")
 SERIES_SCENARIOS = ("evolve", "g2", "variance", "jump", "sweep")
+# numeric keys that no generator reads: a sweep over one of them would
+# return the same steady state on every row
+UNSWEEPABLE = ("rtol", "atol", "grid_start", "grid_stop", "theta1", "theta2",
+               "obs_phi", "alpha")
 
 # key -> (type, default); None means "required for the scenarios using it"
 _SCHEMA = {
@@ -155,6 +159,9 @@ def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
         if key not in _SCHEMA or _SCHEMA[key][0] is not float:
             raise ConfigError(f"sweep_key must name a numeric parameter, "
                               f"got '{key}'")
+        if key in UNSWEEPABLE:
+            raise ConfigError(f"sweep_key '{key}' is read by no generator, "
+                              f"so every row would be the same")
     if scenario == "figure" and not cfg["figure"]:
         raise ConfigError("figure scenario requires a 'figure' id")
     if cfg["n_traj"] < 1:

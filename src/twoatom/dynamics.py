@@ -1,10 +1,12 @@
-"""Generators of the two-atom master equations and their solvers.
+"""Lindblad models of the two-atom reservoirs and their solvers.
 
-Every builder returns a 16x16 superoperator acting on column-stacked
-density matrices in the product basis, expressed in a rotating frame that
-makes the generator time independent (laser frame for driven scenarios,
-squeezing carrier frame for squeezed ones, each atom's own frame for the
-secular nonidentical squeezed case).
+Each reservoir is described once, by a Hamiltonian and a set of decay
+channels (rate, operator).  The 16x16 generator acting on column-stacked
+density matrices in the product basis, the no-jump Hamiltonian and the
+reset map of the quantum-jump unraveling all follow from that model.
+Every model lives in a rotating frame that makes it time independent
+(laser frame for driven scenarios, squeezing carrier frame for squeezed
+ones, each atom's own frame for the secular nonidentical squeezed case).
 """
 from dataclasses import dataclass, field
 
@@ -13,24 +15,54 @@ from scipy.integrate import solve_ivp
 
 from . import geometry
 from .errors import DomainError, IntegrationError, SteadyStateError, ValidationError
-from .operators import (I4, S1M, S1P, S1Z, S2M, S2P, S2Z, SM, SP, SZ,
-                        dissipator, hamiltonian_superop, spre_spost, unvec, vec)
+from .operators import (S1M, S1P, S1Z, S2M, S2P, S2Z, SM, SP, SZ,
+                        dissipator, hamiltonian_superop, unvec, vec)
 from .validation import validate_density_matrix
 
 DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
 NULLSPACE_RTOL = 1e-8
 
+_EXCHANGE = S1P @ S2M + S2P @ S1M
+
+
+def _liouvillian(h: np.ndarray, channels) -> np.ndarray:
+    l = hamiltonian_superop(h)
+    for rate, op in channels:
+        l = l + dissipator(rate, op)
+    return l
+
 
 @dataclass(frozen=True)
 class Generator:
-    """Time-independent generator of a master equation, rho_dot = L rho."""
-    matrix: np.ndarray
+    """Lindblad model rho_dot = -i[h, rho] + sum_k rate_k D[op_k] rho.
+
+    ``channels`` is a tuple of (rate, op) pairs with nonnegative rates;
+    ``matrix`` is the 16x16 generator, assembled once on construction.
+    """
+    h: np.ndarray
+    channels: tuple
     scenario: str
     meta: dict = field(default_factory=dict)
+    matrix: np.ndarray = field(init=False, repr=False)
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return unvec(self.matrix @ vec(rho))
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", _liouvillian(self.h, self.channels))
+
+    @property
+    def conditional_hamiltonian(self) -> np.ndarray:
+        """No-jump Hamiltonian h - (i/2) sum_k rate_k op_k^+ op_k."""
+        decay = sum((rate * op.conj().T @ op for rate, op in self.channels),
+                    np.zeros((4, 4), dtype=complex))
+        return self.h - 0.5j * decay
+
+    def reset(self, rho: np.ndarray) -> tuple[np.ndarray, float]:
+        """Unnormalized post-jump state sum_k rate_k op_k rho op_k^+ and
+        its trace, the jump (for vacuum reservoirs: emission) rate."""
+        rho = validate_density_matrix(rho)
+        out = sum((rate * op @ rho @ op.conj().T for rate, op in self.channels),
+                  np.zeros((4, 4), dtype=complex))
+        return out, float(np.trace(out).real)
 
 
 @dataclass(frozen=True)
@@ -43,13 +75,16 @@ class EvolutionSeries:
         if np.any(np.diff(self.times) <= 0):
             raise ValidationError("time grid must be strictly increasing")
 
-    def state_at(self, index: int) -> np.ndarray:
-        return self.states[index]
 
+def _channels(kossakowski: np.ndarray, ops) -> tuple:
+    """Diagonal channels of sum_ab K_ab (A_b rho A_a^+ - {A_a^+ A_b, rho}/2).
 
-def _damping_matrix(pair: geometry.AtomPairConfig) -> np.ndarray:
-    g12 = geometry.collective_damping(pair)
-    return np.array([[pair.gamma1, g12], [g12, pair.gamma2]])
+    With K = U diag(rates) U^+ the channels are (rate_k, sum_b conj(U_bk)
+    A_b), in eigh order; rates are clipped at zero and none is dropped.
+    """
+    rates, vecs = np.linalg.eigh(kossakowski)
+    combos = np.tensordot(vecs.conj().T, np.stack(ops), axes=1)
+    return tuple((max(float(rate), 0.0), op) for rate, op in zip(rates, combos))
 
 
 def _pair_shift(pair: geometry.AtomPairConfig) -> float:
@@ -60,86 +95,68 @@ def _pair_shift(pair: geometry.AtomPairConfig) -> float:
     return geometry.dipole_dipole_shift(pair)
 
 
-def _vacuum_dissipator(pair: geometry.AtomPairConfig) -> np.ndarray:
-    gm = _damping_matrix(pair)
-    lowering = [S1M, S2M]
-    l = np.zeros((16, 16), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            l += dissipator(gm[i, j], lowering[i], lowering[j])
-    return l
+def _vacuum(pair: geometry.AtomPairConfig, drive: geometry.DriveField,
+            omega12: float) -> Generator:
+    om1, om2 = geometry.rabi_at_atoms(drive, pair)
+    h = (-drive.detuning * SZ
+         + pair.delta * (S2Z - S1Z)
+         + omega12 * _EXCHANGE
+         - 0.5 * (om1 * S1P + np.conj(om1) * S1M
+                  + om2 * S2P + np.conj(om2) * S2M))
+    gm = geometry.damping_matrix(pair)
+    return Generator(h=h, channels=_channels(gm, (S1M, S2M)),
+                     scenario="vacuum_drive",
+                     meta={"pair": pair, "drive": drive,
+                           "gamma12": gm[0, 1], "omega12": omega12})
 
 
 def build_vacuum_drive(pair: geometry.AtomPairConfig,
                        drive: geometry.DriveField) -> Generator:
     """Laser-driven pair coupled to the ordinary vacuum, in the frame
-    rotating at the laser frequency."""
-    om1, om2 = geometry.rabi_at_atoms(drive, pair)
-    omega12 = _pair_shift(pair)
-    h = (-drive.detuning * (S1Z + S2Z)
-         + pair.delta * (S2Z - S1Z)
-         + omega12 * (S1P @ S2M + S2P @ S1M)
-         - 0.5 * (om1 * S1P + np.conj(om1) * S1M
-                  + om2 * S2P + np.conj(om2) * S2M))
-    l = hamiltonian_superop(h) + _vacuum_dissipator(pair)
-    return Generator(matrix=l, scenario="vacuum_drive",
-                     meta={"pair": pair, "drive": drive,
-                           "gamma12": _damping_matrix(pair)[0, 1],
-                           "omega12": omega12})
+    rotating at the laser frequency.
 
-
-def _two_photon_term(rate: float, m_eff: complex,
-                     op_i: np.ndarray, op_j: np.ndarray) -> np.ndarray:
-    # +rate/2 * M (rho Si+Sj+ + Si+Sj+ rho - 2 Sj+ rho Si+) + h.c. block
-    raise_i, raise_j = op_i.conj().T, op_j.conj().T
-    a = raise_i @ raise_j
-    term = 0.5 * rate * m_eff * (spre_spost(I4, a) + spre_spost(a, I4)
-                                 - 2.0 * spre_spost(raise_j, raise_i))
-    b = op_i @ op_j
-    term += 0.5 * rate * np.conj(m_eff) * (spre_spost(I4, b) + spre_spost(b, I4)
-                                           - 2.0 * spre_spost(op_j, op_i))
-    return term
+    The two channels diagonalize the damping matrix; for identical atoms
+    they are the symmetric and antisymmetric ones at gamma +/- Gamma12.
+    """
+    return _vacuum(pair, drive, _pair_shift(pair))
 
 
 def build_squeezed(pair: geometry.AtomPairConfig,
                    res: geometry.SqueezedReservoir) -> Generator:
     """Pair coupled to a broadband squeezed vacuum.
 
+    The channels diagonalize the Kossakowski matrix over (S1-, S2-, S1+,
+    S2+), [[(N+1) G, -M G], [-M* G, N G]] with G the damping matrix,
+    which is positive semidefinite exactly when |M|^2 <= N(N+1).
     Identical atoms keep the complete generator in the frame rotating at
     the squeezing carrier.  Nonidentical atoms (delta != 0) are treated in
     the secular regime |delta| >> gamma with the carrier tuned midway
     between the transition frequencies: single-atom two-photon terms and
-    cross damping average out and only the collective two-photon channel
-    survives.  The secular condition is recorded in the metadata, not
-    enforced.
+    cross damping average out (the same-type blocks keep the diagonal of
+    G, the two-photon blocks its off-diagonal) and only the collective
+    two-photon channel survives.  The secular condition is recorded in
+    the metadata, not enforced.
     """
     n_eff, m_eff_mag = geometry.effective_squeezing(res)
     if geometry.classify_squeezing(n_eff, m_eff_mag) == "invalid":
         raise ValidationError("reservoir violates the two-photon bound")
     m_eff = m_eff_mag * np.exp(1j * res.squeeze_phase)
-    gm = _damping_matrix(pair)
-    lowering = [S1M, S2M]
     secular = pair.delta != 0.0
     if secular and res.carrier_offset != 0.0:
         raise ValidationError(
             "the secular nonidentical case requires the squeezing carrier "
             "midway between the transition frequencies (carrier_offset = 0)")
-    l = np.zeros((16, 16), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            cross = i != j
-            if not secular or not cross:
-                l += dissipator(gm[i, j] * (n_eff + 1.0), lowering[i], lowering[j])
-                l += dissipator(gm[i, j] * n_eff, lowering[i].conj().T,
-                                lowering[j].conj().T)
-            if not secular or cross:
-                l += _two_photon_term(gm[i, j], m_eff, lowering[i], lowering[j])
-    if not secular:
-        h = -res.carrier_offset * (S1Z + S2Z)
-        if pair.separation > 0:
-            h = h + _pair_shift(pair) * (S1P @ S2M + S2P @ S1M)
-        l += hamiltonian_superop(h)
-    return Generator(matrix=l, scenario="squeezed",
+    gm = geometry.damping_matrix(pair)
+    same = np.diag(np.diag(gm)) if secular else gm
+    twin = gm - same if secular else gm
+    kossakowski = np.block([[(n_eff + 1.0) * same, -m_eff * twin],
+                            [-np.conj(m_eff) * twin, n_eff * same]])
+    if secular:
+        h = np.zeros((4, 4), dtype=complex)
+    else:
+        h = -res.carrier_offset * SZ + _pair_shift(pair) * _EXCHANGE
+    return Generator(h=h, channels=_channels(kossakowski, (S1M, S2M, S1P, S2P)),
+                     scenario="squeezed",
                      meta={"pair": pair, "reservoir": res,
                            "n_eff": n_eff, "m_eff": m_eff,
                            "secular": secular,
@@ -161,11 +178,9 @@ def build_dicke_dressed(drive: geometry.DriveField) -> Generator:
     along as a dark, conserved sector of the embedding 4-level space.
     """
     rz, rp, rm = _dressed_rotation()
-    l = hamiltonian_superop(-drive.rabi * rz)
-    l += dissipator(1.0, rz)
-    l += dissipator(0.25, rm)
-    l += dissipator(0.25, rp)
-    return Generator(matrix=l, scenario="dicke_dressed",
+    return Generator(h=-drive.rabi * rz,
+                     channels=((1.0, rz), (0.25, rm), (0.25, rp)),
+                     scenario="dicke_dressed",
                      meta={"drive": drive,
                            "validity": "rabi >> gamma (not enforced)"})
 
@@ -181,12 +196,10 @@ def build_bad_cavity(pair: geometry.AtomPairConfig, g: float,
     if gamma_c <= 0:
         raise DomainError("cavity decay rate must be positive")
     eta = omega_drive / gamma_c
-    h = -0.5 * g * eta * (SP + SM)
-    l = hamiltonian_superop(h)
-    l += dissipator(pair.gamma1, S1M)
-    l += dissipator(pair.gamma2, S2M)
-    l += dissipator(g ** 2 / gamma_c, SM)
-    return Generator(matrix=l, scenario="bad_cavity",
+    return Generator(h=-0.5 * g * eta * (SP + SM),
+                     channels=((pair.gamma1, S1M), (pair.gamma2, S2M),
+                               (g ** 2 / gamma_c, SM)),
+                     scenario="bad_cavity",
                      meta={"pair": pair, "g": g, "gamma_c": gamma_c,
                            "omega_drive": omega_drive,
                            "effective_rabi": g * eta,

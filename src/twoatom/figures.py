@@ -201,19 +201,10 @@ def _small_sample_generator(gamma1, gamma2, delta, omega12, rabi, detuning):
     """Idealized small-sample pair: contact-value collective damping with
     the coherent coupling kept as a free parameter, as in the selective
     excitation presets."""
-    from .operators import (S1M, S1P, S1Z, S2M, S2P, S2Z, dissipator,
-                            hamiltonian_superop)
-    g12 = math.sqrt(gamma1 * gamma2)
-    h = (-detuning * (S1Z + S2Z) + delta * (S2Z - S1Z)
-         + omega12 * (S1P @ S2M + S2P @ S1M)
-         - 0.5 * rabi * (S1P + S1M + S2P + S2M))
-    lmat = hamiltonian_superop(h)
-    lowering = [S1M, S2M]
-    gm = np.array([[gamma1, g12], [g12, gamma2]])
-    for i in range(2):
-        for j in range(2):
-            lmat = lmat + dissipator(gm[i, j], lowering[i], lowering[j])
-    return dynamics.Generator(matrix=lmat, scenario="small_sample")
+    pair = geometry.AtomPairConfig(separation=0.0, gamma1=gamma1,
+                                   gamma2=gamma2, delta=delta)
+    drive = geometry.DriveField(rabi=rabi, detuning=detuning)
+    return dynamics._vacuum(pair, drive, omega12)
 
 
 _SELECTIVE_NOTE = ("small-sample idealization: collective damping at its "

@@ -125,6 +125,12 @@ def collective_damping(pair: AtomPairConfig) -> float:
     return root * damping_profile(x, pair.mu_dot_r)
 
 
+def damping_matrix(pair: AtomPairConfig) -> np.ndarray:
+    """Damping matrix [[gamma1, Gamma12], [Gamma12, gamma2]] of the pair."""
+    g12 = collective_damping(pair)
+    return np.array([[pair.gamma1, g12], [g12, pair.gamma2]])
+
+
 def dipole_dipole_shift(pair: AtomPairConfig) -> float:
     """Coherent dipole-dipole coupling Omega12 of the pair.
 

@@ -1,12 +1,12 @@
-"""Quantum-jump (Monte Carlo wave-function) unraveling of the vacuum pair.
+"""Quantum-jump (Monte Carlo wave-function) unraveling of any generator.
 
-Between emissions the conditional state evolves under a non-Hermitian
-Hamiltonian; emission times are sampled exactly by inverting the no-jump
-probability built from its eigendecomposition, and each emission applies
-one of the two collective jump channels obtained by diagonalizing the
-damping matrix.  Trajectories are reproducible: stream index i of base
-seed s always uses the counter-based generator keyed by (s, i), so
-ensembles are bit-identical no matter how many workers run them.
+Between jumps the conditional state evolves under the generator's
+no-jump Hamiltonian h - (i/2) sum_k rate_k op_k^+ op_k; jump times are
+sampled exactly by inverting the no-jump probability built from its
+eigendecomposition, and each jump applies one of the generator's
+channels.  Trajectories are reproducible: stream index i of base seed s
+always uses the counter-based generator keyed by (s, i), so ensembles
+are bit-identical no matter how many workers run them.
 """
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -15,28 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from . import geometry
+from .dynamics import Generator
 from .errors import TrajectoryBudgetError, ValidationError
-from .operators import S1M, S1P, S1Z, S2M, S2P, S2Z
 from .validation import validate_density_matrix
 
 MAX_JUMPS_DEFAULT = 1_000_000
-
-
-@dataclass(frozen=True)
-class ConditionalHamiltonian:
-    """Non-Hermitian generator of the no-emission evolution."""
-    matrix: np.ndarray
-    pair: geometry.AtomPairConfig
-    drive: geometry.DriveField | None = None
-
-    def decay_part(self) -> np.ndarray:
-        """Decay-rate operator i(Hc - Hc^+)/2.
-
-        Positive semidefinite for every admissible damping matrix: the
-        anti-Hermitian part of Hc produces decay, never gain.
-        """
-        return 1j * (self.matrix - self.matrix.conj().T) / 2.0
+MAX_EIGVEC_COND = 1e8
 
 
 @dataclass(frozen=True)
@@ -62,86 +46,22 @@ class JumpEnsemble:
     n_trajectories: int = 0
 
 
-def _coupling_constant(pair: geometry.AtomPairConfig) -> complex:
-    g12 = geometry.collective_damping(pair)
-    omega12 = 0.0 if pair.separation == 0 else geometry.dipole_dipole_shift(pair)
-    return g12 + 2j * omega12
-
-
-def conditional_hamiltonian(pair: geometry.AtomPairConfig,
-                            drive: geometry.DriveField | None = None
-                            ) -> ConditionalHamiltonian:
-    """Assemble the conditional Hamiltonian, optionally with a drive.
-
-    The undriven part carries the single-atom widths on the diagonal and
-    the complex coupling (damping plus twice the coherent shift) between
-    the one-excitation states; a drive adds the Hermitian laser terms in
-    the rotating frame.
-    """
-    c = _coupling_constant(pair)
-    hc = (pair.gamma1 * S1P @ S1M + pair.gamma2 * S2P @ S2M
-          + c * S1P @ S2M + c * S2P @ S1M) / 2j
-    hc = hc + pair.delta * (S2Z - S1Z)
-    if drive is not None:
-        om1, om2 = geometry.rabi_at_atoms(drive, pair)
-        hc = hc - drive.detuning * (S1Z + S2Z) \
-            - 0.5 * (om1 * S1P + np.conj(om1) * S1M
-                     + om2 * S2P + np.conj(om2) * S2M)
-    return ConditionalHamiltonian(matrix=hc, pair=pair, drive=drive)
-
-
-def jump_channels(pair: geometry.AtomPairConfig) -> list[tuple[float, np.ndarray]]:
-    """Collective emission channels (rate, lowering operator).
-
-    Diagonalizing the damping matrix yields nonnegative rates for every
-    admissible Gamma12 and reduces to the symmetric/antisymmetric pair at
-    rates gamma +/- Gamma12 for identical atoms.
-    """
-    g12 = geometry.collective_damping(pair)
-    gm = np.array([[pair.gamma1, g12], [g12, pair.gamma2]])
-    rates, vecs = np.linalg.eigh(gm)
-    channels = []
-    for k in range(2):
-        rate = max(float(rates[k]), 0.0)
-        op = vecs[0, k] * S1M + vecs[1, k] * S2M
-        channels.append((rate, op))
-    return channels
-
-
-def reset_state(rho: np.ndarray, pair: geometry.AtomPairConfig
-                ) -> tuple[np.ndarray, float]:
-    """Unnormalized post-emission state and the total emission rate.
-
-    The trace of the reset state equals the photon emission rate of the
-    input state.
-    """
-    rho = validate_density_matrix(rho)
-    g12 = geometry.collective_damping(pair)
-    gm = np.array([[pair.gamma1, g12], [g12, pair.gamma2]])
-    lowering = [S1M, S2M]
-    out = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            out += gm[i, j] * (lowering[j] @ rho @ lowering[i].conj().T)
-    return out, float(np.trace(out).real)
-
-
 class NoJumpPropagator:
-    """Eigendecomposed evolution under a conditional Hamiltonian.
+    """Eigendecomposed evolution under a generator's no-jump Hamiltonian.
 
     Provides the conditional state, the no-jump probability and the
     waiting-time density as closed sums of complex exponentials, which is
     what makes exact jump-time sampling cheap.
     """
 
-    def __init__(self, hc: ConditionalHamiltonian):
-        self.hc = hc
-        evals, vmat = np.linalg.eig(hc.matrix)
+    def __init__(self, gen: Generator):
+        evals, vmat = np.linalg.eig(gen.conditional_hamiltonian)
         cond = np.linalg.cond(vmat)
-        if cond > 1e8:
+        if cond > MAX_EIGVEC_COND:
             raise ValidationError(
-                "conditional Hamiltonian is numerically defective; "
-                "use stepped integration instead")
+                f"conditional Hamiltonian is numerically defective: its "
+                f"eigenvector condition number {cond:.2e} exceeds "
+                f"{MAX_EIGVEC_COND:.0e}")
         self.evals = evals
         self.vmat = vmat
         self.vinv = np.linalg.inv(vmat)
@@ -180,18 +100,16 @@ class NoJumpPropagator:
         return brentq(f, 0.0, horizon, xtol=1e-13, rtol=8.9e-16)
 
 
-def no_jump_probability(psi0: np.ndarray, t,
-                        hc: ConditionalHamiltonian):
-    """Probability of detecting no photon up to time t from state psi0."""
+def no_jump_probability(psi0: np.ndarray, t, gen: Generator):
+    """Probability of detecting no jump up to time t from state psi0."""
     psi0 = _normalized_vector(psi0)
-    return NoJumpPropagator(hc).survival(psi0, t)
+    return NoJumpPropagator(gen).survival(psi0, t)
 
 
-def waiting_time_density(psi0: np.ndarray, t,
-                         hc: ConditionalHamiltonian):
-    """Density of the first-emission delay from state psi0."""
+def waiting_time_density(psi0: np.ndarray, t, gen: Generator):
+    """Density of the first-jump delay from state psi0."""
     psi0 = _normalized_vector(psi0)
-    return NoJumpPropagator(hc).waiting_density(psi0, t)
+    return NoJumpPropagator(gen).waiting_density(psi0, t)
 
 
 def _normalized_vector(psi: np.ndarray) -> np.ndarray:
@@ -225,7 +143,7 @@ def _simulate_one(index: int, seed: int, prop: NoJumpPropagator,
     cursor = 0
     n_grid = len(grid)
     sampled = np.empty((n_grid, 4), dtype=complex)
-    jump_times, jump_channels_, post_states = [], [], []
+    jump_times, picks, post_states = [], [], []
     while True:
         xi = rng.random()
         t_jump = prop.sample_jump(psi, xi, horizon - t_now)
@@ -252,7 +170,7 @@ def _simulate_one(index: int, seed: int, prop: NoJumpPropagator,
         psi = phi / np.linalg.norm(phi)
         t_now = t_stop
         jump_times.append(t_now)
-        jump_channels_.append(pick)
+        picks.append(pick)
         post_states.append(psi.copy())
         if len(jump_times) > max_jumps:
             raise TrajectoryBudgetError(
@@ -265,17 +183,16 @@ def _simulate_one(index: int, seed: int, prop: NoJumpPropagator,
     record = TrajectoryRecord(
         seed=seed, index=index,
         jump_times=np.array(jump_times, dtype=float),
-        channels=np.array(jump_channels_, dtype=int),
+        channels=np.array(picks, dtype=int),
         post_jump_states=np.array(post_states, dtype=complex).reshape(-1, 4),
         final_state=psi)
     return sampled, record
 
 
 def _run_block(args):
-    (indices, seed, pair, drive, rho0, grid, max_jumps) = args
-    hc = conditional_hamiltonian(pair, drive)
-    prop = NoJumpPropagator(hc)
-    channels = jump_channels(pair)
+    (indices, seed, gen, rho0, grid, max_jumps) = args
+    prop = NoJumpPropagator(gen)
+    channels = gen.channels
     sampler = _initial_sampler(rho0)
     n_grid = len(grid)
     state_sum = np.zeros((n_grid, 4, 4), dtype=complex)
@@ -308,16 +225,16 @@ def default_worker_count() -> int:
     return n
 
 
-def run_trajectories(pair: geometry.AtomPairConfig,
-                     drive: geometry.DriveField | None,
-                     rho0: np.ndarray, n_traj: int, seed: int,
-                     grid: np.ndarray, workers: int | None = None,
+def run_trajectories(gen: Generator, rho0: np.ndarray, n_traj: int,
+                     seed: int, grid: np.ndarray, workers: int | None = None,
                      max_jumps: int = MAX_JUMPS_DEFAULT) -> JumpEnsemble:
-    """Run an ensemble of jump trajectories and average it on the grid.
+    """Unravel the generator into an ensemble of jump trajectories and
+    average it on the grid.
 
-    The ensemble mean converges to the master-equation state at the usual
-    Monte Carlo rate; population standard errors quantify that spread.
-    Emission rates are estimated from the jump counts in each grid bin.
+    The ensemble mean converges to the master-equation state of ``gen``
+    at the usual Monte Carlo rate; population standard errors quantify
+    that spread.  Jump rates are estimated from the jump counts in each
+    grid bin.
     """
     if n_traj < 1:
         raise ValidationError("n_traj must be at least 1")
@@ -330,7 +247,7 @@ def run_trajectories(pair: geometry.AtomPairConfig,
     # fixed-size blocks keep the partial-sum grouping, and therefore the
     # ensemble averages, bit-identical for every worker count
     blocks = [indices[i:i + 32] for i in range(0, n_traj, 32)]
-    payloads = [(blk, seed, pair, drive, rho0, grid, max_jumps)
+    payloads = [(blk, seed, gen, rho0, grid, max_jumps)
                 for blk in blocks if blk.size]
     if workers == 1 or len(payloads) == 1:
         results = [_run_block(p) for p in payloads]

@@ -53,11 +53,6 @@ class CorrelationSeries:
         return "\n".join(lines) + "\n"
 
 
-def _damping_matrix(pair: geometry.AtomPairConfig) -> np.ndarray:
-    g12 = geometry.collective_damping(pair)
-    return np.array([[pair.gamma1, g12], [g12, pair.gamma2]])
-
-
 def detection_operator(pair: geometry.AtomPairConfig, theta: float) -> np.ndarray:
     """Far-field collapse operator for a detector at angle theta.
 
@@ -72,7 +67,7 @@ def detection_operator(pair: geometry.AtomPairConfig, theta: float) -> np.ndarra
 def total_intensity(rho: np.ndarray, pair: geometry.AtomPairConfig) -> float:
     """Total photon emission rate of the state."""
     rho = validate_density_matrix(rho)
-    gm = _damping_matrix(pair)
+    gm = geometry.damping_matrix(pair)
     raising = [S1P, S2P]
     lowering = [S1M, S2M]
     out = 0.0
@@ -80,26 +75,6 @@ def total_intensity(rho: np.ndarray, pair: geometry.AtomPairConfig) -> float:
         for j in range(2):
             out += gm[i, j] * expect(raising[i] @ lowering[j], rho).real
     return max(out, 0.0)
-
-
-def intensity_along(rho: np.ndarray, pair: geometry.AtomPairConfig,
-                    khat: np.ndarray, mu_hat: np.ndarray) -> float:
-    """Radiated intensity per solid angle along an explicit direction.
-
-    The prefactor 3/(8 pi) sin^2(phi) makes the full-sphere integral equal
-    the total emission rate.
-    """
-    khat = np.asarray(khat, dtype=float)
-    khat = khat / np.linalg.norm(khat)
-    mu_hat = np.asarray(mu_hat, dtype=float)
-    pattern = 1.0 - float(khat @ mu_hat) ** 2
-    phase = 2 * math.pi * pair.separation * khat[0]  # interatomic axis is x
-    gm = _damping_matrix(pair)
-    amp = expect(S1P @ S1M, rho).real * gm[0, 0] \
-        + expect(S2P @ S2M, rho).real * gm[1, 1] \
-        + 2 * (math.sqrt(pair.gamma1 * pair.gamma2)
-               * (expect(S1P @ S2M, rho) * np.exp(1j * phase)).real)
-    return 3.0 / (8.0 * math.pi) * pattern * amp
 
 
 def angular_intensity(rho: np.ndarray, pair: geometry.AtomPairConfig,
@@ -112,7 +87,7 @@ def angular_intensity(rho: np.ndarray, pair: geometry.AtomPairConfig,
     rho = validate_density_matrix(rho)
     pattern = math.sin(geom.phi) ** 2
     phase = 2 * math.pi * pair.separation * math.cos(geom.theta1)
-    gm = _damping_matrix(pair)
+    gm = geometry.damping_matrix(pair)
     amp = expect(S1P @ S1M, rho).real * gm[0, 0] \
         + expect(S2P @ S2M, rho).real * gm[1, 1] \
         + 2 * (math.sqrt(pair.gamma1 * pair.gamma2)

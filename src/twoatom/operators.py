@@ -54,19 +54,13 @@ def spre_spost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(b.T, a)
 
 
-def dissipator(rate: complex, left_op: np.ndarray, right_op: np.ndarray | None = None) -> np.ndarray:
-    """Superoperator rate*(R rho L^+ - (L^+ R rho + rho L^+ R)/2).
-
-    With ``right_op`` omitted this is the ordinary Lindblad dissipator of
-    ``left_op``; with distinct operators it is the cross-damping term that
-    couples the two emitters.
-    """
-    left = np.asarray(left_op, dtype=complex)
-    right = left if right_op is None else np.asarray(right_op, dtype=complex)
-    ldr = left.conj().T @ right
-    return rate * (spre_spost(right, left.conj().T)
-                   - 0.5 * spre_spost(ldr, I4)
-                   - 0.5 * spre_spost(I4, ldr))
+def dissipator(rate: float, op: np.ndarray) -> np.ndarray:
+    """Lindblad dissipator rate*(L rho L^+ - (L^+ L rho + rho L^+ L)/2)."""
+    op = np.asarray(op, dtype=complex)
+    ldl = op.conj().T @ op
+    return rate * (spre_spost(op, op.conj().T)
+                   - 0.5 * spre_spost(ldl, I4)
+                   - 0.5 * spre_spost(I4, ldl))
 
 
 def hamiltonian_superop(h: np.ndarray) -> np.ndarray:

@@ -5,7 +5,6 @@ any emitted CSV can be replayed bit-identically.
 """
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,24 +159,12 @@ def _run_variance(cfg: ScenarioConfig) -> ResultTable:
     return ResultTable(columns=["t", "variance"], rows=rows)
 
 
-def _run_visibility(cfg: ScenarioConfig) -> ResultTable:
-    gen = build_generator(cfg)
-    rho, degenerate = dynamics.steady_state(gen)
-    row = _state_row(rho, cfg.pair())
-    table = ResultTable(columns=list(row), rows=[list(row.values())])
-    table.metadata["degenerate"] = int(degenerate)
-    return table
-
-
 def _run_jump(cfg: ScenarioConfig) -> ResultTable:
-    pair = cfg.pair()
-    drive = cfg.drive() if cfg["rabi"] != 0 or cfg["detuning"] != 0 else None
-    workers = cfg["workers"] or None
-    ensemble = jumps.run_trajectories(pair, drive, initial_state(cfg),
+    gen = build_generator(cfg)
+    ensemble = jumps.run_trajectories(gen, initial_state(cfg),
                                       cfg["n_traj"], cfg["seed"], cfg.grid(),
-                                      workers=workers,
+                                      workers=cfg["workers"] or None,
                                       max_jumps=cfg["max_jumps"])
-    gen = dynamics.build_vacuum_drive(pair, cfg.drive())
     reference = dynamics.evolve(gen, initial_state(cfg), cfg.grid(),
                                 rtol=cfg["rtol"], atol=cfg["atol"])
     columns = ["t"]
@@ -210,26 +197,16 @@ def records_jsonl(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sweep_worker(args):
-    cfg_values, key, value = args
-    values = dict(cfg_values)
-    values[key] = value
-    sub = ScenarioConfig(values=values)
-    gen = build_generator(sub)
-    rho, _ = dynamics.steady_state(gen)
+def _sweep_point(cfg: ScenarioConfig, key: str, value: float) -> dict:
+    sub = ScenarioConfig(values={**cfg.values, key: value})
+    rho, _ = dynamics.steady_state(build_generator(sub))
     return _state_row(rho, sub.pair())
 
 
 def _run_sweep(cfg: ScenarioConfig) -> ResultTable:
     key = cfg["sweep_key"]
     grid = cfg.grid()
-    payloads = [(cfg.values, key, float(v)) for v in grid]
-    workers = cfg["workers"] or jumps.default_worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, payloads))
-    else:
-        results = [_sweep_worker(p) for p in payloads]
+    results = [_sweep_point(cfg, key, float(v)) for v in grid]
     columns = [key] + list(results[0])
     rows = [[grid[k]] + list(results[k].values()) for k in range(len(grid))]
     return ResultTable(columns=columns, rows=rows)
@@ -245,7 +222,7 @@ _RUNNERS = {
     "evolve": _run_evolve,
     "g2": _run_g2,
     "variance": _run_variance,
-    "visibility": _run_visibility,
+    "visibility": _run_steady,
     "jump": _run_jump,
     "sweep": _run_sweep,
     "figure": _run_figure,

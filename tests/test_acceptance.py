@@ -243,10 +243,10 @@ def test_criterion_08_jump_master_equivalence():
     drive = geometry.DriveField(rabi=2.0)
     rho0 = np.diag([1.0, 0, 0, 0]).astype(complex)
     grid = np.linspace(0.0, 5.0, 20)
-    ensemble = jumps.run_trajectories(pair, drive, rho0, 10_000, seed=2024,
+    gen = dynamics.build_vacuum_drive(pair, drive)
+    ensemble = jumps.run_trajectories(gen, rho0, 10_000, seed=2024,
                                       grid=grid, workers=4)
-    reference = dynamics.evolve(dynamics.build_vacuum_drive(pair, drive),
-                                rho0, grid)
+    reference = dynamics.evolve(gen, rho0, grid)
     chi2, dof = 0.0, 0
     for k in range(len(grid)):
         mc = np.real(np.diag(ensemble.mean_states[k]))
@@ -259,7 +259,7 @@ def test_criterion_08_jump_master_equivalence():
     bound = dof + 3.0 * math.sqrt(2.0 * dof)
     assert chi2 < bound, f"chi2 {chi2:.1f} exceeds 3-sigma bound {bound:.1f}"
     # determinism: the first streams of the same seed reproduce bit for bit
-    probe = jumps.run_trajectories(pair, drive, rho0, 64, seed=2024,
+    probe = jumps.run_trajectories(gen, rho0, 64, seed=2024,
                                    grid=grid, workers=2)
     for rec_a, rec_b in zip(probe.records, ensemble.records[:64]):
         assert np.array_equal(rec_a.jump_times, rec_b.jump_times)

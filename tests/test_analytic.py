@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from twoatom import analytic
-from twoatom.errors import DomainError, ValidityWarning
+from twoatom.errors import ValidityWarning
 from twoatom.operators import DICKE_BASIS, KET_GG
 
 
@@ -222,20 +222,6 @@ class TestFluctuationMapping:
 
 
 class TestDispatchAndValidity:
-    def test_unknown_scenario(self):
-        with pytest.raises(DomainError):
-            analytic.analytic_steady("nope")
-
-    def test_dispatch_routes(self):
-        out = analytic.analytic_steady("squeezed_dicke", n_eff=0.5,
-                                       m_eff=0.5)
-        assert out["rss"] == pytest.approx(0.5 / 2.5)
-        val = analytic.analytic_g2("dressed", 0.0, gamma=1.0, rabi=100.0)
-        assert val == pytest.approx(0.75)
-        vis = analytic.analytic_visibility("driven", rabi=1.0, detuning=0.0,
-                                           gamma=1.0)
-        assert vis == pytest.approx(1.0 / 3.0)
-
     def test_all_oracles_finite_on_validity_domain(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", ValidityWarning)

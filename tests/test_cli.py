@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="grid_points"):
             parse_config("scenario = evolve\ngrid_points = 1\n")
 
+    @pytest.mark.parametrize("key", ["rtol", "atol", "grid_start",
+                                     "grid_stop", "theta1", "theta2",
+                                     "obs_phi", "alpha"])
+    def test_sweep_key_read_by_no_generator_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            parse_config(f"scenario = sweep\nsweep_key = {key}\n")
+
     def test_round_trip_identity(self):
         cfg = parse_config(QUANTUM_BEATS_CFG)
         text = serialize_config(cfg)
@@ -75,6 +84,22 @@ class TestRunScenario:
         t2 = run_scenario(parse_config(text))
         assert t1.rows == t2.rows
         assert t1.sidecars["records.jsonl"] == t2.sidecars["records.jsonl"]
+
+    def test_jump_scenario_unravels_squeezed_generator(self):
+        # the ensemble follows the configured reservoir: squeezed-bath
+        # jumps excite the pair out of |gg>, as its master equation does
+        n = 0.5
+        cfg = parse_config(
+            "scenario = jump\ngenerator = squeezed\nseparation = 0.1\n"
+            f"n_photons = {n}\nm_magnitude = {math.sqrt(n * (n + 1))!r}\n"
+            "grid_stop = 3\ngrid_points = 7\nn_traj = 1500\nseed = 5\n"
+            "workers = 1\n")
+        table = run_scenario(cfg)
+        labels = ("gg", "ge", "eg", "ee")
+        mc, se, me = (np.stack([table.column(f"{kind}_{s}") for s in labels],
+                               axis=1) for kind in ("mc", "stderr", "me"))
+        assert mc[-1, 0] < 0.9 and me[-1, 0] < 0.9
+        assert np.all(np.abs(mc - me) <= 5 * se + 1e-12)
 
     def test_sweep_peaks_at_shifted_resonance(self):
         # antisymmetric-state population peaks where the detuning matches

@@ -296,8 +296,8 @@ class TestBadCavity:
 
 class TestEvolve:
     def test_zero_generator_constant(self, rng):
-        gen = dynamics.Generator(matrix=np.zeros((16, 16), dtype=complex),
-                                 scenario="test")
+        gen = dynamics.Generator(h=np.zeros((4, 4), dtype=complex),
+                                 channels=(), scenario="test")
         rho0 = random_density_matrix(rng)
         series = dynamics.evolve(gen, rho0, np.linspace(0, 5, 7))
         for k in range(7):

@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 from conftest import random_density_matrix, random_pair
 from twoatom import dynamics, geometry, jumps, observables
-from twoatom.errors import TrajectoryBudgetError
+from twoatom.errors import TrajectoryBudgetError, ValidationError
 from twoatom.operators import KET_A, KET_EE, KET_S, ket_density
 
 
@@ -12,12 +12,17 @@ def pair(separation, **kw):
     return geometry.AtomPairConfig(separation=separation, **kw)
 
 
+def vacuum(p, drive=None):
+    return dynamics.build_vacuum_drive(
+        p, geometry.DriveField(rabi=0.0) if drive is None else drive)
+
+
 class TestConditionalHamiltonian:
     def test_single_excitation_eigenrates(self):
         p = pair(0.11)
         g12 = geometry.collective_damping(p)
-        hc = jumps.conditional_hamiltonian(p)
-        evals = np.linalg.eigvals(hc.matrix)
+        gen = vacuum(p)
+        evals = np.linalg.eigvals(gen.conditional_hamiltonian)
         rates = np.sort(-2 * evals.imag)
         # ground state 0, subradiant, superradiant, doubly excited 2 gamma
         expected = np.sort([0.0, 1 - g12, 1 + g12, 2.0])
@@ -25,18 +30,18 @@ class TestConditionalHamiltonian:
 
     def test_nearly_independent_structure(self):
         p = pair(80.0)
-        hc = jumps.conditional_hamiltonian(p)
-        diag = np.diag(hc.matrix)
+        gen = vacuum(p)
+        diag = np.diag(gen.conditional_hamiltonian)
         assert np.abs(diag - np.array([0, -0.5j, -0.5j, -1j])).max() < 1e-12
-        off = hc.matrix - np.diag(diag)
+        off = gen.conditional_hamiltonian - np.diag(diag)
         assert np.abs(off).max() < 5e-3
 
     def test_coupling_matches_geometry(self):
         p = pair(1 / 12)
         g12 = geometry.collective_damping(p)
         omega12 = geometry.dipole_dipole_shift(p)
-        hc = jumps.conditional_hamiltonian(p)
-        coupling = hc.matrix[1, 2]
+        gen = vacuum(p)
+        coupling = gen.conditional_hamiltonian[1, 2]
         assert coupling == pytest.approx((g12 + 2j * omega12) / 2j, abs=1e-10)
 
     def test_decay_part_positive_semidefinite(self, rng):
@@ -44,33 +49,34 @@ class TestConditionalHamiltonian:
             p = random_pair(rng)
             drive = geometry.DriveField(rabi=float(rng.uniform(0, 4)),
                                         detuning=float(rng.uniform(-3, 3)))
-            hc = jumps.conditional_hamiltonian(p, drive)
-            decay = hc.decay_part()
+            gen = vacuum(p, drive)
+            cond = gen.conditional_hamiltonian
+            decay = 1j * (cond - cond.conj().T) / 2.0
             assert np.abs(decay - decay.conj().T).max() < 1e-12
             assert np.linalg.eigvalsh(decay).min() > -1e-12
 
 
 class TestResetState:
     def test_ground_state_is_dark(self):
-        out, rate = jumps.reset_state(np.diag([1., 0, 0, 0]).astype(complex),
-                                      pair(0.3))
+        out, rate = vacuum(pair(0.3)).reset(
+            np.diag([1., 0, 0, 0]).astype(complex))
         assert np.abs(out).max() == 0
         assert rate == 0
 
     def test_doubly_excited_rate(self):
-        out, rate = jumps.reset_state(ket_density(KET_EE), pair(0.3))
+        out, rate = vacuum(pair(0.3)).reset(ket_density(KET_EE))
         assert rate == pytest.approx(2.0, abs=1e-12)
         assert np.trace(out).real == pytest.approx(rate)
 
     def test_antisymmetric_dark_in_dicke_limit(self):
-        _, rate = jumps.reset_state(ket_density(KET_A), pair(0.0))
+        _, rate = vacuum(pair(0.0)).reset(ket_density(KET_A))
         assert abs(rate) < 1e-12
 
     def test_rate_equals_total_intensity(self, rng):
         for _ in range(20):
             p = random_pair(rng, identical=True)
             rho = random_density_matrix(rng)
-            _, rate = jumps.reset_state(rho, p)
+            _, rate = vacuum(p).reset(rho)
             assert rate == pytest.approx(
                 observables.total_intensity(rho, p), abs=1e-10)
 
@@ -79,72 +85,72 @@ class TestNoJumpStatistics:
     def test_sub_and_superradiant_survival(self):
         p = pair(0.27)
         g12 = geometry.collective_damping(p)
-        hc = jumps.conditional_hamiltonian(p)
+        gen = vacuum(p)
         t = np.linspace(0, 4, 9)
-        assert np.abs(jumps.no_jump_probability(KET_S, t, hc)
+        assert np.abs(jumps.no_jump_probability(KET_S, t, gen)
                       - np.exp(-(1 + g12) * t)).max() < 1e-10
-        assert np.abs(jumps.no_jump_probability(KET_A, t, hc)
+        assert np.abs(jumps.no_jump_probability(KET_A, t, gen)
                       - np.exp(-(1 - g12) * t)).max() < 1e-10
 
     def test_single_excited_atom_nearly_independent(self):
         # at 80 wavelengths the couplings are ~1e-3, so the one-atom
         # exponential holds to their second order
-        hc = jumps.conditional_hamiltonian(pair(80.0))
+        gen = vacuum(pair(80.0))
         t = np.linspace(0, 4, 9)
         from twoatom.operators import KET_EG
-        prob = jumps.no_jump_probability(KET_EG, t, hc)
+        prob = jumps.no_jump_probability(KET_EG, t, gen)
         assert np.abs(prob - np.exp(-t)).max() < 1e-4
 
     def test_monotone_nonincreasing(self, rng):
         for _ in range(10):
             p = random_pair(rng)
             drive = geometry.DriveField(rabi=float(rng.uniform(0, 3)))
-            hc = jumps.conditional_hamiltonian(p, drive)
+            gen = vacuum(p, drive)
             psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             t = np.linspace(0, 6, 400)
-            prob = jumps.no_jump_probability(psi, t, hc)
+            prob = jumps.no_jump_probability(psi, t, gen)
             assert np.all(np.diff(prob) <= 1e-12)
 
     def test_waiting_density_single_channel(self):
         p = pair(0.27)
         g12 = geometry.collective_damping(p)
-        hc = jumps.conditional_hamiltonian(p)
+        gen = vacuum(p)
         t = np.linspace(0, 3, 7)
         ref = (1 + g12) * np.exp(-(1 + g12) * t)
-        assert np.abs(jumps.waiting_time_density(KET_S, t, hc) - ref).max() \
+        assert np.abs(jumps.waiting_time_density(KET_S, t, gen) - ref).max() \
             < 1e-10
 
     def test_waiting_density_normalization_doubly_excited(self):
-        hc = jumps.conditional_hamiltonian(pair(0.0))
-        prop = jumps.NoJumpPropagator(hc)
+        gen = vacuum(pair(0.0))
+        prop = jumps.NoJumpPropagator(gen)
         total, _ = quad(lambda s: prop.waiting_density(KET_EE, s), 0, 100,
                         limit=300)
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_dark_state_never_emits(self):
-        hc = jumps.conditional_hamiltonian(pair(0.0))
+        gen = vacuum(pair(0.0))
         t = np.linspace(0, 10, 50)
-        assert np.abs(jumps.waiting_time_density(KET_A, t, hc)).max() < 1e-12
+        assert np.abs(jumps.waiting_time_density(KET_A, t, gen)).max() < 1e-12
 
     def test_density_nonnegative_and_subnormalized(self, rng):
         for _ in range(10):
             p = random_pair(rng, identical=True)
-            hc = jumps.conditional_hamiltonian(p)
+            gen = vacuum(p)
             psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             t = np.linspace(0, 8, 2001)
-            dens = jumps.waiting_time_density(psi, t, hc)
+            dens = jumps.waiting_time_density(psi, t, gen)
             assert dens.min() > -1e-10
             # the density integrates to the emitted probability, below one
-            prob = jumps.no_jump_probability(psi, t, hc)
+            prob = jumps.no_jump_probability(psi, t, gen)
             integral = np.trapezoid(dens, t)
             assert integral == pytest.approx(1.0 - prob[-1], abs=1e-4)
             assert integral <= 1.0 + 1e-10
 
     def test_waiting_density_nearly_independent_atom(self):
-        hc = jumps.conditional_hamiltonian(pair(80.0))
+        gen = vacuum(pair(80.0))
         t = np.linspace(0, 4, 9)
         from twoatom.operators import KET_EG
-        dens = jumps.waiting_time_density(KET_EG, t, hc)
+        dens = jumps.waiting_time_density(KET_EG, t, gen)
         assert np.abs(dens - np.exp(-t)).max() < 1e-3
 
     def test_initial_flux_matches_reset_rate(self, rng):
@@ -152,19 +158,30 @@ class TestNoJumpStatistics:
         for _ in range(15):
             p = random_pair(rng, identical=True)
             drive = geometry.DriveField(rabi=float(rng.uniform(0, 2)))
-            hc = jumps.conditional_hamiltonian(p, drive)
+            gen = vacuum(p, drive)
             psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             psi = psi / np.linalg.norm(psi)
-            flux = jumps.waiting_time_density(psi, 0.0, hc)
-            _, rate = jumps.reset_state(np.outer(psi, psi.conj()), p)
+            flux = jumps.waiting_time_density(psi, 0.0, gen)
+            _, rate = gen.reset(np.outer(psi, psi.conj()))
             assert flux == pytest.approx(rate, abs=1e-8)
+
+
+class TestPropagator:
+    def test_defective_hamiltonian_reports_condition_number(self):
+        # a Jordan block has a single eigenvector, so no eigenbasis exists
+        jordan = np.zeros((4, 4), dtype=complex)
+        jordan[0, 1] = 1.0
+        gen = dynamics.Generator(h=jordan, channels=(), scenario="test")
+        with pytest.raises(ValidationError,
+                           match=r"condition number .* exceeds 1e\+08"):
+            jumps.NoJumpPropagator(gen)
 
 
 class TestChannels:
     def test_rates_nonnegative_and_complete(self, rng):
         for _ in range(20):
             p = random_pair(rng)
-            channels = jumps.jump_channels(p)
+            channels = vacuum(p).channels
             total = sum(rate * (op.conj().T @ op) for rate, op in channels)
             g12 = geometry.collective_damping(p)
             from twoatom.operators import S1M, S2M
@@ -177,7 +194,7 @@ class TestChannels:
     def test_identical_atoms_symmetric_antisymmetric(self):
         p = pair(0.14)
         g12 = geometry.collective_damping(p)
-        rates = sorted(rate for rate, _ in jumps.jump_channels(p))
+        rates = sorted(rate for rate, _ in vacuum(p).channels)
         assert rates[0] == pytest.approx(1 - g12, abs=1e-12)
         assert rates[1] == pytest.approx(1 + g12, abs=1e-12)
 
@@ -188,10 +205,10 @@ class TestTrajectories:
         drive = geometry.DriveField(rabi=2.0)
         rho0 = np.diag([1.0, 0, 0, 0]).astype(complex)
         grid = np.linspace(0, 4, 9)
-        a = jumps.run_trajectories(p, drive, rho0, 40, seed=11, grid=grid,
-                                   workers=1)
-        b = jumps.run_trajectories(p, drive, rho0, 40, seed=11, grid=grid,
-                                   workers=2)
+        a = jumps.run_trajectories(vacuum(p, drive), rho0, 40, seed=11,
+                                   grid=grid, workers=1)
+        b = jumps.run_trajectories(vacuum(p, drive), rho0, 40, seed=11,
+                                   grid=grid, workers=2)
         assert np.array_equal(a.mean_states, b.mean_states)
         for ra, rb in zip(a.records, b.records):
             assert np.array_equal(ra.jump_times, rb.jump_times)
@@ -202,10 +219,10 @@ class TestTrajectories:
         drive = geometry.DriveField(rabi=2.0)
         rho0 = np.diag([1.0, 0, 0, 0]).astype(complex)
         grid = np.linspace(0, 4, 5)
-        a = jumps.run_trajectories(p, drive, rho0, 10, seed=1, grid=grid,
-                                   workers=1)
-        b = jumps.run_trajectories(p, drive, rho0, 10, seed=2, grid=grid,
-                                   workers=1)
+        a = jumps.run_trajectories(vacuum(p, drive), rho0, 10, seed=1,
+                                   grid=grid, workers=1)
+        b = jumps.run_trajectories(vacuum(p, drive), rho0, 10, seed=2,
+                                   grid=grid, workers=1)
         assert any(not np.array_equal(ra.jump_times, rb.jump_times)
                    for ra, rb in zip(a.records, b.records))
 
@@ -214,8 +231,8 @@ class TestTrajectories:
         drive = geometry.DriveField(rabi=2.0)
         rho0 = np.diag([1.0, 0, 0, 0]).astype(complex)
         grid = np.linspace(0, 5, 11)
-        ens = jumps.run_trajectories(p, drive, rho0, 1200, seed=3, grid=grid,
-                                     workers=1)
+        ens = jumps.run_trajectories(vacuum(p, drive), rho0, 1200, seed=3,
+                                     grid=grid, workers=1)
         gen = dynamics.build_vacuum_drive(p, drive)
         ref = dynamics.evolve(gen, rho0, grid)
         for k in range(len(grid)):
@@ -229,7 +246,7 @@ class TestTrajectories:
                 assert rec.jump_times[-1] <= grid[-1]
 
     def test_dark_initial_state_never_jumps(self):
-        ens = jumps.run_trajectories(pair(0.0), None, ket_density(KET_A),
+        ens = jumps.run_trajectories(vacuum(pair(0.0)), ket_density(KET_A),
                                      25, seed=5,
                                      grid=np.linspace(0, 10, 5), workers=1)
         assert all(rec.jump_times.size == 0 for rec in ens.records)
@@ -239,7 +256,7 @@ class TestTrajectories:
         drive = geometry.DriveField(rabi=6.0)
         rho0 = np.diag([1.0, 0, 0, 0]).astype(complex)
         with pytest.raises(TrajectoryBudgetError):
-            jumps.run_trajectories(p, drive, rho0, 2, seed=1,
+            jumps.run_trajectories(vacuum(p, drive), rho0, 2, seed=1,
                                    grid=np.linspace(0, 400, 5), workers=1,
                                    max_jumps=3)
 
@@ -249,14 +266,14 @@ class TestTrajectories:
         p = pair(0.0)
         rho0 = ket_density(KET_EE)
         grid = np.linspace(0, 2.0, 9)
-        ens = jumps.run_trajectories(p, None, rho0, 1500, seed=9, grid=grid,
-                                     workers=1)
+        ens = jumps.run_trajectories(vacuum(p), rho0, 1500, seed=9,
+                                     grid=grid, workers=1)
         mids = 0.5 * (grid[1:] + grid[:-1])
         ref_states = dynamics.evolve(
             dynamics.build_vacuum_drive(p, geometry.DriveField(rabi=0.0)),
             rho0, mids)
         for k in range(len(mids)):
-            _, rate = jumps.reset_state(ref_states.states[k], p)
+            _, rate = vacuum(p).reset(ref_states.states[k])
             tol = 4 * ens.emission_rate_stderr[k] + 0.05 * rate
             assert abs(ens.emission_rate[k] - rate) < tol
 
@@ -266,7 +283,7 @@ class TestExport:
         p = pair(0.2)
         drive = geometry.DriveField(rabi=2.0)
         rho0 = np.diag([1.0, 0, 0, 0]).astype(complex)
-        ens = jumps.run_trajectories(p, drive, rho0, 6, seed=4,
+        ens = jumps.run_trajectories(vacuum(p, drive), rho0, 6, seed=4,
                                      grid=np.linspace(0, 4, 5), workers=1)
         text = jumps.export_records(ens.records)
         lines = text.strip().splitlines()

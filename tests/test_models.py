@@ -1,0 +1,120 @@
+"""Property tests of the Lindblad models behind every generator.
+
+Each builder states a Hamiltonian and decay channels; the generator, the
+no-jump Hamiltonian and the reset map all follow from them.  Random
+pairs, drives, reservoirs and cavity parameters check that the derived
+objects are mutually consistent.
+"""
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+
+from twoatom import dynamics, geometry, jumps
+from twoatom.errors import ValidationError
+from twoatom.figures import _small_sample_generator
+from twoatom.operators import I4, unvec, vec
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
+
+separations = st.one_of(st.just(0.0), st.floats(1e-3, 3.0))
+angles = st.floats(0.0, math.pi / 2)
+rates = st.floats(0.3, 3.0)
+states = st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)
+
+
+@st.composite
+def pairs(draw, identical=None):
+    identical = draw(st.booleans()) if identical is None else identical
+    if identical:
+        return geometry.AtomPairConfig(separation=draw(separations),
+                                       dipole_angle=draw(angles))
+    return geometry.AtomPairConfig(
+        separation=draw(separations), dipole_angle=draw(angles),
+        gamma2=draw(rates),
+        delta=draw(st.one_of(st.floats(-3.0, -0.1), st.floats(0.1, 3.0))))
+
+
+drives = st.builds(geometry.DriveField,
+                   rabi=st.floats(0.0, 5.0), detuning=st.floats(-5.0, 5.0),
+                   propagation_angle=st.floats(0.0, math.pi),
+                   wave_type=st.sampled_from(["running", "standing"]),
+                   phase=st.floats(0.0, 2 * math.pi))
+
+
+@st.composite
+def squeezed_cases(draw):
+    secular = draw(st.booleans())
+    n = draw(st.floats(0.0, 3.0))
+    fraction = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    res = geometry.SqueezedReservoir(
+        n_photons=n, m_magnitude=math.sqrt(n * (n + 1.0)) * fraction,
+        squeeze_phase=draw(st.floats(0.0, 2 * math.pi)),
+        matching=draw(st.floats(0.0, 1.0)),
+        solid_angle=draw(st.floats(0.05, math.pi)),
+        carrier_offset=0.0 if secular else draw(st.floats(-2.0, 2.0)))
+    return draw(pairs(identical=not secular)), res
+
+
+def check_model(gen: dynamics.Generator, psi: list) -> None:
+    lmat = gen.matrix
+    scale = max(1.0, np.abs(lmat).max())
+    # trace preservation: vec(I)^+ L = 0
+    assert np.abs(vec(I4).conj() @ lmat).max() < 1e-12 * scale
+    # Hermiticity preservation: L(X)^+ = L(X^+) on every matrix unit
+    units = np.eye(16, dtype=complex)
+    for k in range(16):
+        out = unvec(lmat @ units[k])
+        flipped = unvec(lmat @ vec(unvec(units[k]).conj().T))
+        assert np.abs(out.conj().T - flipped).max() < 1e-12 * scale
+    assert all(rate >= 0.0 for rate, _ in gen.channels)
+    # the no-jump Hamiltonian decays by exactly the channels' rates
+    assert np.abs(gen.h - gen.h.conj().T).max() < 1e-12 * scale
+    hc = gen.conditional_hamiltonian
+    decay = 0.5j * (hc - hc.conj().T)
+    half = 0.5 * sum(rate * op.conj().T @ op for rate, op in gen.channels)
+    assert np.abs(decay - half).max() < 1e-12 * scale
+    assert np.linalg.eigvalsh(decay).min() > -1e-12 * scale
+    # the no-jump flux at t = 0 is the trace of the reset map
+    ket = np.array(psi[:4]) + 1j * np.array(psi[4:])
+    assume(np.linalg.norm(ket) > 1e-2)
+    ket = ket / np.linalg.norm(ket)
+    try:
+        flux = jumps.waiting_time_density(ket, 0.0, gen)
+    except ValidationError:
+        assume(False)  # defective no-jump Hamiltonian (exceptional point)
+    _, rate = gen.reset(np.outer(ket, ket.conj()))
+    assert abs(flux - rate) < 1e-8 * scale
+
+
+class TestModelProperties:
+    @PROPERTY
+    @given(pairs(), drives, states)
+    def test_vacuum_drive(self, pair, drive, psi):
+        check_model(dynamics.build_vacuum_drive(pair, drive), psi)
+
+    @PROPERTY
+    @given(squeezed_cases(), states)
+    def test_squeezed(self, case, psi):
+        check_model(dynamics.build_squeezed(*case), psi)
+
+    @PROPERTY
+    @given(drives, states)
+    def test_dicke_dressed(self, drive, psi):
+        check_model(dynamics.build_dicke_dressed(drive), psi)
+
+    @PROPERTY
+    @given(pairs(), st.floats(0.0, 3.0), st.floats(0.1, 200.0),
+           st.floats(0.0, 50.0), states)
+    def test_bad_cavity(self, pair, g, gamma_c, omega_drive, psi):
+        check_model(dynamics.build_bad_cavity(pair, g, gamma_c, omega_drive),
+                    psi)
+
+    @PROPERTY
+    @given(rates, rates, st.floats(-3.0, 3.0), st.floats(-20.0, 20.0),
+           st.floats(0.0, 20.0), st.floats(-25.0, 25.0), states)
+    def test_small_sample(self, gamma1, gamma2, delta, omega12, rabi,
+                          detuning, psi):
+        check_model(_small_sample_generator(gamma1, gamma2, delta, omega12,
+                                            rabi, detuning), psi)

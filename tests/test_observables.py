@@ -7,8 +7,7 @@ from conftest import random_density_matrix, random_pair
 from twoatom import analytic, basis, dynamics, geometry, observables
 from twoatom.errors import (DomainError, UndefinedValueError, ValidationError,
                             ValidityWarning)
-from twoatom.operators import (KET_A, KET_EE, KET_S, hamiltonian_superop,
-                               dissipator, ket_density, S1M, S2M, S1Z, S2Z)
+from twoatom.operators import KET_A, KET_EE, KET_S, ket_density, S1M, S2M, S1Z, S2Z
 
 
 def pair(separation, **kw):
@@ -96,8 +95,13 @@ class TestAngularIntensity:
                 khats = np.column_stack([np.full_like(phis, c),
                                          sin_t * np.cos(phis),
                                          sin_t * np.sin(phis)])
-                vals = [observables.intensity_along(rho, p, k, mu_hat)
-                        for k in khats]
+                # theta1 is the angle to the interatomic (x) axis, phi
+                # the angle between k and the dipole
+                dipole = np.arccos(np.clip(khats @ mu_hat, -1.0, 1.0))
+                vals = [observables.angular_intensity(
+                            rho, p, observables.DetectionGeometry(
+                                theta1=math.acos(c), phi=float(phi)))
+                        for phi in dipole]
                 total += w * np.mean(vals) * 2 * math.pi
             assert total == pytest.approx(
                 observables.total_intensity(rho, p), abs=1e-6)
@@ -198,9 +202,9 @@ class TestG2:
         # operator normalization.
         delta, s = 1.3, 0.4
         p = pair(s, delta=delta)
-        lmat = hamiltonian_superop(delta * (S2Z - S1Z)) \
-            + dissipator(1.0, S1M) + dissipator(1.0, S2M)
-        gen = dynamics.Generator(matrix=lmat, scenario="independent")
+        gen = dynamics.Generator(h=delta * (S2Z - S1Z),
+                                 channels=((1.0, S1M), (1.0, S2M)),
+                                 scenario="independent")
         taus = np.linspace(0, 3, 91)
         geom = observables.DetectionGeometry(theta1=0.2, theta2=1.9)
         got = observables.g2_tau(gen, ket_density(KET_EE), p, geom, taus,
