@@ -69,7 +69,8 @@ _SCHEMA = {
     "max_jumps": (int, 1_000_000),
     # figure preset
     "figure": (str, ""),
-    # tolerances
+    # tolerances: propagation is exact and reads neither; they are kept
+    # only so that older tables still parse and replay
     "rtol": (float, 1e-9),
     "atol": (float, 1e-12),
     # output

@@ -17,14 +17,6 @@ class ConfigError(TwoAtomError, ValueError):
     """A scenario configuration could not be parsed or validated."""
 
 
-class IntegrationError(TwoAtomError, RuntimeError):
-    """Time integration failed; carries the last time reached."""
-
-    def __init__(self, message, last_time=None):
-        super().__init__(message)
-        self.last_time = last_time
-
-
 class SteadyStateError(TwoAtomError, RuntimeError):
     """No steady state could be found within tolerance."""
 

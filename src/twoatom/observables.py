@@ -113,14 +113,14 @@ def g2_zero(rho: np.ndarray, pair: geometry.AtomPairConfig,
 
 def g2_tau(gen: Generator, rho_start: np.ndarray,
            pair: geometry.AtomPairConfig, geom: DetectionGeometry,
-           taus: np.ndarray, normalize: bool = True,
-           rtol: float = 1e-10, atol: float = 1e-13) -> CorrelationSeries:
+           taus: np.ndarray, normalize: bool = True) -> CorrelationSeries:
     """Two-time intensity correlation by quantum regression.
 
-    With a stationary rho_start this is g2(tau); with a transient state it
-    is the correlation measured from that instant.  normalize=False
-    returns the unnormalized two-time correlation (geometric constant set
-    to one).
+    The state collapsed by the first detector is propagated exactly by
+    evolve, which validates every state it reaches.  With a stationary
+    rho_start this is g2(tau); with a transient state it is the
+    correlation measured from that instant.  normalize=False returns the
+    unnormalized two-time correlation (geometric constant set to one).
     """
     rho_start = validate_density_matrix(rho_start)
     taus = np.asarray(taus, dtype=float)
@@ -130,11 +130,9 @@ def g2_tau(gen: Generator, rho_start: np.ndarray,
     weight = float(np.trace(collapsed).real)
     if weight <= 0:
         raise UndefinedValueError("zero intensity at the first detector")
-    series = evolve(gen, collapsed / weight, taus, rtol=rtol, atol=atol,
-                    validate=False)
+    series = evolve(gen, collapsed / weight, taus)
     meter = d2.conj().T @ d2
-    raw = np.array([expect(meter, series.states[k]).real
-                    for k in range(taus.size)])
+    raw = np.einsum("kij,ji->k", series.states, meter).real
     if not normalize:
         return CorrelationSeries(taus=taus, values=weight * raw)
     i2 = expect(meter, rho_start).real

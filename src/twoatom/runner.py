@@ -118,8 +118,7 @@ def _run_steady(cfg: ScenarioConfig) -> ResultTable:
 
 def _run_evolve(cfg: ScenarioConfig) -> ResultTable:
     gen = build_generator(cfg)
-    series = dynamics.evolve(gen, initial_state(cfg), cfg.grid(),
-                             rtol=cfg["rtol"], atol=cfg["atol"])
+    series = dynamics.evolve(gen, initial_state(cfg), cfg.grid())
     pair = cfg.pair()
     columns = ["t", "rho_gg", "rho_ss", "rho_aa", "rho_ee",
                "intensity", "purity", "spin_squared"]
@@ -148,8 +147,7 @@ def _run_g2(cfg: ScenarioConfig) -> ResultTable:
 
 def _run_variance(cfg: ScenarioConfig) -> ResultTable:
     gen = build_generator(cfg)
-    series = dynamics.evolve(gen, initial_state(cfg), cfg.grid(),
-                             rtol=cfg["rtol"], atol=cfg["atol"])
+    series = dynamics.evolve(gen, initial_state(cfg), cfg.grid())
     pair = cfg.pair()
     geom = observables.DetectionGeometry(theta1=cfg["theta1"],
                                          phi=cfg["obs_phi"])
@@ -165,8 +163,7 @@ def _run_jump(cfg: ScenarioConfig) -> ResultTable:
                                       cfg["n_traj"], cfg["seed"], cfg.grid(),
                                       workers=cfg["workers"] or None,
                                       max_jumps=cfg["max_jumps"])
-    reference = dynamics.evolve(gen, initial_state(cfg), cfg.grid(),
-                                rtol=cfg["rtol"], atol=cfg["atol"])
+    reference = dynamics.evolve(gen, initial_state(cfg), cfg.grid())
     columns = ["t"]
     labels = ["gg", "ge", "eg", "ee"]  # product-basis (tensor) ordering
     columns += [f"mc_{s}" for s in labels]

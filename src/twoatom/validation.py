@@ -12,21 +12,24 @@ def validate_density_matrix(rho: np.ndarray,
                             hermiticity_tol: float = HERMITICITY_TOL,
                             trace_tol: float = TRACE_TOL,
                             positivity_tol: float = POSITIVITY_TOL) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity of a 4x4 state.
+    """Check Hermiticity, unit trace and positivity of a 4x4 state, or of
+    every state in a (..., 4, 4) stack.
 
     Returns the input as a complex array so callers can chain it.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValidationError(f"state must be 4x4, got {rho.shape}")
-    herm = np.abs(rho - rho.conj().T).max()
+    adjoint = rho.conj().swapaxes(-1, -2)
+    herm = np.abs(rho - adjoint).max()
     if herm > hermiticity_tol:
         raise ValidationError(f"state is not Hermitian: deviation {herm:.2e}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValidationError(f"state trace is {tr:.12g}, expected 1")
-    eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if eigs.min() < -positivity_tol:
-        raise ValidationError(
-            f"state has negative eigenvalue {eigs.min():.2e}")
+    tr = rho.diagonal(0, -2, -1).sum(-1)
+    dev = abs(tr - 1.0)
+    if dev.max() > trace_tol:
+        worst = np.ravel(tr)[dev.argmax()]
+        raise ValidationError(f"state trace is {worst:.12g}, expected 1")
+    eig_min = np.linalg.eigvalsh(0.5 * (rho + adjoint)).min()
+    if eig_min < -positivity_tol:
+        raise ValidationError(f"state has negative eigenvalue {eig_min:.2e}")
     return rho

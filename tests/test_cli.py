@@ -171,6 +171,15 @@ class TestRunScenario:
             assert table.rows == replayed.rows
             assert table.columns == replayed.columns
 
+    def test_tolerance_keys_parse_and_are_unread(self):
+        # rtol and atol of the former adaptive integrator stay parseable so
+        # old tables replay; exact propagation reads neither
+        text = ("scenario = evolve\nseparation = 0.3\nrabi = 0.7\n"
+                "grid_stop = 2.0\ngrid_points = 11\n")
+        plain = run_scenario(parse_config(text))
+        loose = run_scenario(parse_config(text + "rtol = 1e-2\natol = 1e-3\n"))
+        assert loose.rows == plain.rows
+
 
 class TestFigures:
     def test_preset_roundtrip(self):

@@ -7,9 +7,10 @@ from scipy.linalg import expm
 from conftest import random_density_matrix, random_hermitian, random_pair
 from twoatom import analytic, basis, dynamics, geometry, observables
 from twoatom.errors import DomainError, ValidationError
-from twoatom.operators import (KET_EG, S1M, S1P, S2M, SM, SP, dissipator,
-                               expect, hamiltonian_superop, ket_density,
-                               unvec, vec)
+from twoatom.operators import (KET_A, KET_EG, S1M, S1P, S2M, SM, SP,
+                               dissipator, expect, hamiltonian_superop,
+                               ket_density, unvec, vec)
+from twoatom.validation import validate_density_matrix
 
 
 def pair(separation, **kw):
@@ -304,13 +305,22 @@ class TestEvolve:
             assert np.abs(series.states[k] - rho0).max() < 1e-12
 
     def test_against_matrix_exponential_oracle(self, rng):
+        cases = []
         for _ in range(5):
             p = random_pair(rng)
             drive = geometry.DriveField(rabi=float(rng.uniform(0, 3)),
                                         detuning=float(rng.uniform(-2, 2)))
+            cases.append((p, drive, np.linspace(0.5, 10.0, 6)))
+        # a non-uniform grid: one propagator per step
+        cases.append((random_pair(rng), geometry.DriveField(rabi=1.5),
+                      np.sort(rng.uniform(0.0, 10.0, 40))))
+        # near contact Omega12 ~ r^-3 reaches 1e3-1e5; the cost stays flat
+        for separation in (0.003, 0.01):
+            cases.append((pair(separation), geometry.DriveField(rabi=1.0),
+                          np.linspace(0.0, 5.0, 11)))
+        for p, drive, grid in cases:
             gen = dynamics.build_vacuum_drive(p, drive)
             rho0 = random_density_matrix(rng)
-            grid = np.linspace(0.5, 10.0, 6)
             series = dynamics.evolve(gen, rho0, grid)
             for k, t in enumerate(grid):
                 oracle = unvec(expm(gen.matrix * t) @ vec(rho0))
@@ -364,6 +374,31 @@ class TestSteadyState:
             geometry.dipole_dipole_shift(p))
         assert np.abs(rc - ref).max() < 1e-10
 
+    @pytest.mark.parametrize("separation", [0.003, 0.005])
+    def test_near_contact_kernel_is_one_dimensional(self, separation):
+        # Omega12 ~ 1e4-1e5 dominates sigma_max while gamma - Gamma12 ~ 1e-4:
+        # ranked against the channel rates the kernel stays 1-D, and an
+        # antisymmetric reference cannot select another state
+        p = pair(separation)
+        gen = dynamics.build_vacuum_drive(p, geometry.DriveField(rabi=1.0))
+        ref = analytic.driven_steady_state(
+            1.0, 0.0, 1.0, geometry.collective_damping(p),
+            geometry.dipole_dipole_shift(p))
+        for reference in (None, ket_density(KET_A)):
+            rho, degenerate = dynamics.steady_state(gen, reference=reference)
+            assert not degenerate
+            rc = basis.basis_transform("to_collective", rho)
+            assert np.abs(rc - ref).max() < 1e-10
+
+    def test_kernel_rank_over_separations_and_angles(self):
+        drive = geometry.DriveField(rabi=1.0)
+        for angle in np.linspace(0.0, math.pi / 2, 4):
+            for separation in [0.0, *np.geomspace(1e-4, 10.0, 11)]:
+                gen = dynamics.build_vacuum_drive(
+                    pair(separation, dipole_angle=angle), drive)
+                _, degenerate = dynamics.steady_state(gen)
+                assert degenerate == (separation == 0.0)
+
     def test_trace_preservation_random_states(self, rng):
         builders = [
             dynamics.build_vacuum_drive(random_pair(rng),
@@ -388,3 +423,12 @@ class TestSteadyState:
             assert np.abs(rho - rho.conj().T).max() < 1e-9
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-8)
             assert np.linalg.eigvalsh(rho).min() > -1e-7
+
+
+class TestStateValidation:
+    def test_stack_is_checked_state_by_state(self, rng):
+        stack = np.stack([random_density_matrix(rng) for _ in range(5)])
+        validate_density_matrix(stack)
+        stack[2] = np.diag([1.2, -0.2, 0.0, 0.0])
+        with pytest.raises(ValidationError, match="negative eigenvalue"):
+            validate_density_matrix(stack)

@@ -3,12 +3,14 @@
 Each builder states a Hamiltonian and decay channels; the generator, the
 no-jump Hamiltonian and the reset map all follow from them.  Random
 pairs, drives, reservoirs and cavity parameters check that the derived
-objects are mutually consistent.
+objects are mutually consistent and that the propagator exp(L t) is
+completely positive.
 """
 import math
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg import expm
 
 from twoatom import dynamics, geometry, jumps
 from twoatom.errors import ValidationError
@@ -76,6 +78,14 @@ def check_model(gen: dynamics.Generator, psi: list) -> None:
     half = 0.5 * sum(rate * op.conj().T @ op for rate, op in gen.channels)
     assert np.abs(decay - half).max() < 1e-12 * scale
     assert np.linalg.eigvalsh(decay).min() > -1e-12 * scale
+    # complete positivity: the Choi matrix of the propagator exp(L t),
+    # sum_ij |i><j| (x) exp(L t)(|i><j|), is positive semidefinite up to
+    # the round-off of exponentiating L t
+    for t in (0.05, 0.5, 3.0):
+        prop = expm(lmat * t).reshape(4, 4, 4, 4)  # [b, a, j, i]
+        choi = prop.transpose(3, 1, 2, 0).reshape(16, 16)
+        assert np.abs(choi - choi.conj().T).max() < 1e-12 * scale * t
+        assert np.linalg.eigvalsh(choi).min() > -1e-12 * scale * t
     # the no-jump flux at t = 0 is the trace of the reset map
     ket = np.array(psi[:4]) + 1j * np.array(psi[4:])
     assume(np.linalg.norm(ket) > 1e-2)
