@@ -9,8 +9,8 @@ from .basis import (CollectiveBasis, SuperpositionCoeffs, basis_transform,
                     build_basis, coherent_couplings, collective_populations,
                     superposition_rates)
 from .dynamics import (EvolutionSeries, Generator, build_bad_cavity,
-                       build_dicke_dressed, build_squeezed,
-                       build_vacuum_drive, evolve, steady_state)
+                       build_dicke_dressed, build_squeezed, build_vacuum_drive,
+                       evolve, steady_state, steady_states)
 from .jumps import (JumpEnsemble, TrajectoryRecord, export_records,
                     no_jump_probability, run_trajectories,
                     waiting_time_density)

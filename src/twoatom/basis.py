@@ -133,12 +133,13 @@ def coherent_couplings(coeffs: SuperpositionCoeffs,
 
 def basis_transform(direction: str, rho: np.ndarray,
                     basis: CollectiveBasis | None = None) -> np.ndarray:
-    """Unitary change of basis for a density matrix.
+    """Unitary change of basis for a density matrix, or for each one in a
+    (..., 4, 4) stack.
 
     direction is 'to_collective' or 'to_product'; without an explicit
     basis the maximally entangled (identical-atom) one is used.
     """
-    validate_density_matrix(rho)
+    rho = validate_density_matrix(rho)
     c = DICKE_BASIS if basis is None else basis.matrix()
     if direction == "to_collective":
         return c.conj().T @ rho @ c
@@ -149,5 +150,7 @@ def basis_transform(direction: str, rho: np.ndarray,
 
 def collective_populations(rho: np.ndarray,
                            basis: CollectiveBasis | None = None) -> np.ndarray:
-    """Populations (g, s, a, e) of a product-basis density matrix."""
-    return np.real(np.diag(basis_transform("to_collective", rho, basis)))
+    """Populations (g, s, a, e) of a product-basis density matrix, along
+    the last axis for a stack."""
+    rc = basis_transform("to_collective", rho, basis)
+    return np.real(rc.diagonal(0, -2, -1))

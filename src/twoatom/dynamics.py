@@ -9,50 +9,54 @@ Every model lives in a rotating frame that makes it time independent
 ones, each atom's own frame for the secular nonidentical squeezed case).
 """
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 from scipy.linalg import expm
 
 from . import geometry
 from .errors import DomainError, SteadyStateError, ValidationError
-from .operators import (S1M, S1P, S1Z, S2M, S2P, S2Z, SM, SP, SZ,
-                        dissipator, hamiltonian_superop, unvec, vec)
+from .operators import S1M, S1P, S1Z, S2M, S2P, S2Z, SM, SP, SZ, vec
 from .validation import validate_density_matrix
 
 NULLSPACE_RTOL = 1e-8
+# generators solved per batched SVD: bounds the memory a long scan holds
+STACK_CHUNK = 128
 
 _EXCHANGE = S1P @ S2M + S2P @ S1M
-
-
-def _liouvillian(h: np.ndarray, channels) -> np.ndarray:
-    l = hamiltonian_superop(h)
-    for rate, op in channels:
-        l = l + dissipator(rate, op)
-    return l
+_LOWERING = np.array([S1M, S2M])
+_LADDER = np.array([S1M, S2M, S1P, S2P])
+_EYE = np.eye(4)
 
 
 @dataclass(frozen=True)
 class Generator:
     """Lindblad model rho_dot = -i[h, rho] + sum_k rate_k D[op_k] rho.
 
-    ``channels`` is a tuple of (rate, op) pairs with nonnegative rates;
-    ``matrix`` is the 16x16 generator, assembled once on construction.
+    ``channels`` is a tuple of (rate, op) pairs with nonnegative rates.
+    The no-jump Hamiltonian ``conditional_hamiltonian``, h - (i/2) sum_k
+    rate_k op_k^+ op_k, and the 16x16 generator ``matrix`` are derived
+    once on construction.
     """
     h: np.ndarray
     channels: tuple
     scenario: str
     meta: dict = field(default_factory=dict)
+    conditional_hamiltonian: np.ndarray = field(init=False, repr=False)
     matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _liouvillian(self.h, self.channels))
-
-    @property
-    def conditional_hamiltonian(self) -> np.ndarray:
-        """No-jump Hamiltonian h - (i/2) sum_k rate_k op_k^+ op_k."""
-        decay = sum((rate * op.conj().T @ op for rate, op in self.channels),
-                    np.zeros((4, 4), dtype=complex))
-        return self.h - 0.5j * decay
+        rates = np.array([rate for rate, _ in self.channels], dtype=float)
+        ops = np.array([op for _, op in self.channels],
+                       dtype=complex).reshape(-1, 4, 4)
+        hc = self.h - 0.5j * np.einsum("c,cji,cjk->ik", rates, ops.conj(), ops)
+        # L = -i (I (x) Hc) + i (Hc* (x) I) + sum_k rate_k (op_k* (x) op_k),
+        # each Kronecker product broadcast as [4i + k, 4j + l] <- [i, k, j, l]
+        l = np.einsum("c,cij,ckl->ikjl", rates, ops.conj(), ops)
+        l += 1j * (hc.conj()[:, None, :, None] * _EYE[None, :, None, :]
+                   - _EYE[:, None, :, None] * hc[None, :, None, :])
+        object.__setattr__(self, "conditional_hamiltonian", hc)
+        object.__setattr__(self, "matrix", l.reshape(16, 16))
 
     def reset(self, rho: np.ndarray) -> tuple[np.ndarray, float]:
         """Unnormalized post-jump state sum_k rate_k op_k rho op_k^+ and
@@ -81,7 +85,7 @@ def _channels(kossakowski: np.ndarray, ops) -> tuple:
     A_b), in eigh order; rates are clipped at zero and none is dropped.
     """
     rates, vecs = np.linalg.eigh(kossakowski)
-    combos = np.tensordot(vecs.conj().T, np.stack(ops), axes=1)
+    combos = np.einsum("bk,bij->kij", vecs.conj(), ops)
     return tuple((max(float(rate), 0.0), op) for rate, op in zip(rates, combos))
 
 
@@ -102,7 +106,7 @@ def _vacuum(pair: geometry.AtomPairConfig, drive: geometry.DriveField,
          - 0.5 * (om1 * S1P + np.conj(om1) * S1M
                   + om2 * S2P + np.conj(om2) * S2M))
     gm = geometry.damping_matrix(pair)
-    return Generator(h=h, channels=_channels(gm, (S1M, S2M)),
+    return Generator(h=h, channels=_channels(gm, _LOWERING),
                      scenario="vacuum_drive",
                      meta={"pair": pair, "drive": drive,
                            "gamma12": gm[0, 1], "omega12": omega12})
@@ -153,7 +157,7 @@ def build_squeezed(pair: geometry.AtomPairConfig,
         h = np.zeros((4, 4), dtype=complex)
     else:
         h = -res.carrier_offset * SZ + _pair_shift(pair) * _EXCHANGE
-    return Generator(h=h, channels=_channels(kossakowski, (S1M, S2M, S1P, S2P)),
+    return Generator(h=h, channels=_channels(kossakowski, _LADDER),
                      scenario="squeezed",
                      meta={"pair": pair, "reservoir": res,
                            "n_eff": n_eff, "m_eff": m_eff,
@@ -234,55 +238,62 @@ def evolve(gen: Generator, rho0: np.ndarray,
     return EvolutionSeries(times=grid, states=states)
 
 
-def _nullspace(lmat: np.ndarray, scale: float,
-               rtol: float) -> tuple[np.ndarray, np.ndarray]:
-    _, svals, vh = np.linalg.svd(lmat)
-    return svals, vh.conj()[svals / scale < rtol].T
+def steady_states(gens, reference: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary states of a sequence of generators, as an (N, 4, 4)
+    stack plus the (N,) mask of degenerate kernels.
 
-
-def steady_state(gen: Generator, rtol: float = NULLSPACE_RTOL,
-                 reference: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
-    """Solve L rho = 0 with unit trace.
-
-    Singular values are ranked against the total channel rate, the
-    dissipative scale, not against the largest one, which the coherent
-    exchange Omega12 ~ r^-3 dominates at small separations.  A
-    one-dimensional null space gives the unique stationary state.  When
-    the kernel is degenerate (the Dicke pair conserves the total spin) the
-    flag is set and the state returned is the infinite-time limit reached
-    from the ground state, or from the supplied reference state, computed
-    by spectral projection onto the kernel.
+    The generators are consumed STACK_CHUNK at a time, and each chunk is
+    factored by one batched SVD.  Each point's singular values are ranked
+    against its own total channel rate, the dissipative scale, not
+    against the largest one, which the coherent exchange Omega12 ~ r^-3
+    dominates at small separations.  A one-dimensional null space gives
+    the unique stationary state.  When the kernel is degenerate (the Dicke
+    pair conserves the total spin) the state is the infinite-time limit
+    reached from the ground state, or from the supplied reference state,
+    computed by spectral projection onto the kernel.
     """
-    lmat = gen.matrix
-    scale = sum(rate for rate, _ in gen.channels) or 1.0
-    svals, null_basis = _nullspace(lmat, scale, rtol)
-    if null_basis.shape[1] == 0:
-        raise SteadyStateError(
-            f"no null vector found; smallest singular value is "
-            f"{svals[-1] / scale:.2e} times the total channel rate")
-    if null_basis.shape[1] == 1:
-        rho = unvec(null_basis[:, 0])
-        tr = np.trace(rho)
-        if abs(tr) < 1e-12:
-            raise SteadyStateError("null vector is traceless")
-        rho = rho / tr
-        rho = 0.5 * (rho + rho.conj().T)
-        return rho, False
-    # degenerate kernel: project the reference initial state onto it
-    if reference is None:
-        reference = np.zeros((4, 4), dtype=complex)
-        reference[0, 0] = 1.0
-    _, left_basis = _nullspace(lmat.conj().T, scale, rtol)
-    overlap = left_basis.conj().T @ null_basis
-    weights = np.linalg.solve(overlap, left_basis.conj().T @ vec(reference))
-    rho = unvec(null_basis @ weights)
-    tr = np.trace(rho)
-    if abs(tr) < 1e-12:
-        raise SteadyStateError("projected steady state is traceless")
-    rho = rho / tr
-    rho = 0.5 * (rho + rho.conj().T)
-    residual = np.abs(lmat @ vec(rho)).max()
-    if residual > 1e-8:
-        raise SteadyStateError(f"projected state is not stationary "
-                               f"(residual {residual:.2e})")
-    return rho, True
+    start = vec(np.diag([1.0, 0, 0, 0]) if reference is None else reference)
+    gens = iter(gens)
+    states, flags = [np.empty((0, 4, 4), dtype=complex)], [np.empty(0, bool)]
+    for chunk in iter(lambda: list(islice(gens, STACK_CHUNK)), []):
+        lmats = np.stack([gen.matrix for gen in chunk])
+        scales = np.array([sum(rate for rate, _ in gen.channels) or 1.0
+                           for gen in chunk])
+        u, svals, vh = np.linalg.svd(lmats)
+        null = svals / scales[:, None] < NULLSPACE_RTOL
+        dims = null.sum(axis=1)
+        if not dims.all():
+            k = int(np.argmin(dims))
+            raise SteadyStateError(
+                f"no null vector found; smallest singular value is "
+                f"{svals[k, -1] / scales[k]:.2e} times the total channel rate")
+        vecs = vh[:, -1].conj()
+        degenerate = dims > 1
+        for k in np.flatnonzero(degenerate):
+            # project along the left null vectors (columns of u) of L
+            left, right = u[k][:, null[k]].conj().T, vh[k][null[k]].conj().T
+            vecs[k] = right @ np.linalg.solve(left @ right, left @ start)
+        rho = vecs.reshape(-1, 4, 4).transpose(0, 2, 1)  # unvec of each row
+        tr = rho.trace(axis1=1, axis2=2)
+        if np.abs(tr).min() < 1e-12:
+            raise SteadyStateError("steady state is traceless")
+        rho = rho / tr[:, None, None]
+        rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+        projected = rho[degenerate].transpose(0, 2, 1).reshape(-1, 16)
+        residual = np.abs(np.einsum("kab,kb->ka", lmats[degenerate],
+                                    projected)).max(initial=0.0)
+        if residual > 1e-8:
+            raise SteadyStateError(f"projected state is not stationary "
+                                   f"(residual {residual:.2e})")
+        states.append(rho)
+        flags.append(degenerate)
+    return np.concatenate(states), np.concatenate(flags)
+
+
+def steady_state(gen: Generator, reference: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, bool]:
+    """Solve L rho = 0 with unit trace: the one-point call of
+    :func:`steady_states`, returning the state and its degeneracy flag."""
+    states, degenerate = steady_states([gen], reference)
+    return states[0], bool(degenerate[0])

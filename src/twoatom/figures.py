@@ -22,32 +22,25 @@ def _pair(separation, gamma2=1.0, delta=0.0, dipole_angle=math.pi / 2):
                                    delta=delta, dipole_angle=dipole_angle)
 
 
-def _steady_pops(pair, drive):
-    gen = dynamics.build_vacuum_drive(pair, drive)
-    rho, _ = dynamics.steady_state(gen)
-    return basis.collective_populations(rho), rho
-
-
 def _decay_intensity(pair, grid, initial=None):
     gen = dynamics.build_vacuum_drive(pair, geometry.DriveField(rabi=0.0))
     rho0 = ket_density(KET_EG) if initial is None else initial
     series = dynamics.evolve(gen, rho0, grid)
-    return np.array([observables.total_intensity(series.states[k], pair)
-                     for k in range(len(grid))])
+    return observables.total_intensity(series.states, pair)
 
 
 def _driven_intensity(pair, drive, grid):
     gen = dynamics.build_vacuum_drive(pair, drive)
     rho0 = np.diag([1.0, 0, 0, 0]).astype(complex)
     series = dynamics.evolve(gen, rho0, grid)
-    return np.array([observables.total_intensity(series.states[k], pair)
-                     for k in range(len(grid))])
+    return observables.total_intensity(series.states, pair)
 
 
-def _table(columns, arrays, note):
-    rows = [list(vals) for vals in zip(*arrays)]
-    from .runner import ResultTable
-    return ResultTable(columns=columns, rows=rows, metadata={"note": note})
+def _table(cols: dict, note: str):
+    from .runner import _table as table
+    result = table(cols)
+    result.metadata["note"] = note
+    return result
 
 
 def _fig1():
@@ -61,7 +54,7 @@ def _fig1():
             shift.append(geometry.dipole_dipole_shift(p))
         cols[f"damping_{tag}"] = np.array(damping)
         cols[f"shift_{tag}"] = np.array(shift)
-    return _table(list(cols), list(cols.values()),
+    return _table(cols,
                   "collective damping and dipole-dipole shift vs separation")
 
 
@@ -76,7 +69,7 @@ def _fig3():
             g12 = geometry.collective_damping(p)
             vals.append(0.5 * (1.0 - 2.0 * b.alpha * b.beta * g12))
         cols[f"gamma_a_r{s}"] = np.array(vals)
-    return _table(list(cols), list(cols.values()),
+    return _table(cols,
                   "antisymmetric-state damping vs frequency splitting")
 
 
@@ -86,7 +79,7 @@ def _fig4():
     for d in (0.0, -2.0, -3.0):
         cols[f"intensity_delta{d:g}"] = _decay_intensity(
             _pair(1 / 12, delta=d), grid)
-    return _table(list(cols), list(cols.values()),
+    return _table(cols,
                   "decay intensity quantum beats vs frequency splitting; "
                   "r12 = lambda/12, perpendicular dipoles")
 
@@ -97,7 +90,7 @@ def _fig5():
     for ratio in (1.0, 2.5, 5.0):
         cols[f"intensity_ratio{ratio:g}"] = _decay_intensity(
             _pair(1 / 12, gamma2=ratio), grid)
-    return _table(list(cols), list(cols.values()),
+    return _table(cols,
                   "decay intensity quantum beats vs damping-rate ratio")
 
 
@@ -109,7 +102,7 @@ def _fig6(wave="running"):
         drive = geometry.DriveField(rabi=0.2, propagation_angle=0.0,
                                     wave_type=wave, phase=phase)
         cols[f"intensity_r{s:g}"] = _driven_intensity(_pair(s), drive, grid)
-    return _table(list(cols), list(cols.values()),
+    return _table(cols,
                   f"driven intensity beats, {wave} wave along the axis")
 
 
@@ -123,7 +116,7 @@ def _fig8():
         rho, _ = dynamics.steady_state(gen)
         series = observables.g2_tau(gen, rho, pair, geom, taus)
         cols[f"g2_rabi{om:g}"] = series.values
-    return _table(list(cols), list(cols.values()),
+    return _table(cols,
                   "dressed-model g2 of the strongly driven small sample")
 
 
@@ -131,36 +124,31 @@ def _sweep_detuning(separations, rabi, outputs, note, detunings=None,
                     propagation_angle=math.pi / 2):
     detunings = np.linspace(-15, 15, 201) if detunings is None else detunings
     cols = {"detuning": detunings}
+    drives = [geometry.DriveField(rabi=rabi, detuning=d,
+                                  propagation_angle=propagation_angle)
+              for d in detunings]
     for tag, pair in [(f"r{s:g}", _pair(s)) for s in separations]:
-        buckets = {name: [] for name in outputs}
-        for d in detunings:
-            drive = geometry.DriveField(rabi=rabi, detuning=d,
-                                        propagation_angle=propagation_angle)
-            pops, rho = _steady_pops(pair, drive)
-            for name in outputs:
-                buckets[name].append(_output_value(name, pops, rho, pair))
+        states, _ = dynamics.steady_states(
+            dynamics.build_vacuum_drive(pair, drive) for drive in drives)
         for name in outputs:
-            cols[f"{name}_{tag}"] = np.array(buckets[name])
-    return _table(list(cols), list(cols.values()), note)
+            cols[f"{name}_{tag}"] = _output_column(name, states, pair)
+    return _table(cols, note)
 
 
-def _output_value(name, pops, rho, pair):
+_POPULATIONS = {"pop_ss": 1, "pop_aa": 2, "pop_ee": 3}
+_QUADRATURES = {"variance0": 0.0, "variance_pi2": math.pi / 2,
+                "variance_3pi4": 3 * math.pi / 4}
+
+
+def _output_column(name, states, pair):
+    geom = observables.DetectionGeometry(theta1=math.pi / 2)
     if name == "g2zero":
-        geom = observables.DetectionGeometry(theta1=math.pi / 2)
-        return observables.g2_zero(rho, pair, geom)
-    if name == "variance0":
-        geom = observables.DetectionGeometry(theta1=math.pi / 2)
-        return observables.quadrature_variance(rho, pair, 0.0, geom)
-    if name == "variance_pi2":
-        geom = observables.DetectionGeometry(theta1=math.pi / 2)
-        return observables.quadrature_variance(rho, pair, math.pi / 2, geom)
-    if name == "variance_3pi4":
-        geom = observables.DetectionGeometry(theta1=math.pi / 2)
-        return observables.quadrature_variance(rho, pair, 3 * math.pi / 4, geom)
-    if name == "visibility":
-        return observables.visibility(rho)
-    index = {"pop_ss": 1, "pop_aa": 2, "pop_ee": 3}[name]
-    return pops[index]
+        return np.array([observables.g2_zero(rho, pair, geom)
+                         for rho in states])
+    if name in _QUADRATURES:
+        return observables.quadrature_variance(states, pair,
+                                               _QUADRATURES[name], geom)
+    return basis.collective_populations(states)[:, _POPULATIONS[name]]
 
 
 def _fig9():
@@ -178,10 +166,9 @@ def _fig10():
         gen = dynamics.build_dicke_dressed(geometry.DriveField(rabi=om))
         series = dynamics.evolve(gen, np.diag([1.0, 0, 0, 0]).astype(complex),
                                  grid)
-        cols[f"variance_rabi{om:g}"] = np.array(
-            [observables.quadrature_variance(series.states[k], pair, 0.0, geom)
-             for k in range(len(grid))])
-    return _table(list(cols), list(cols.values()),
+        cols[f"variance_rabi{om:g}"] = observables.quadrature_variance(
+            series.states, pair, 0.0, geom)
+    return _table(cols,
                   "transient in-phase variance of the driven small sample")
 
 
@@ -215,23 +202,19 @@ _SELECTIVE_NOTE = ("small-sample idealization: collective damping at its "
 def _selective_sweep(cases, rabi, outputs, detunings):
     cols = {"detuning": detunings}
     for tag, gamma2, delta in cases:
-        buckets = {name: [] for name in outputs}
-        for d in detunings:
-            gen = _small_sample_generator(1.0, gamma2, delta, 10.0, rabi, d)
-            rho, _ = dynamics.steady_state(gen)
-            pops = basis.collective_populations(rho)
-            for name in outputs:
-                buckets[name].append(pops[{"pop_ss": 1, "pop_aa": 2,
-                                           "pop_ee": 3}[name]])
+        states, _ = dynamics.steady_states(
+            _small_sample_generator(1.0, gamma2, delta, 10.0, rabi, d)
+            for d in detunings)
+        pops = basis.collective_populations(states)
         for name in outputs:
-            cols[f"{name}_{tag}"] = np.array(buckets[name])
+            cols[f"{name}_{tag}"] = pops[:, _POPULATIONS[name]]
     return cols
 
 
 def _fig13():
     cols = _selective_sweep([("split", 1.0, 1.0), ("rates", 2.0, 0.0)],
                             10.0, ["pop_aa"], np.linspace(-25, 25, 501))
-    return _table(list(cols), list(cols.values()),
+    return _table(cols,
                   "antisymmetric-state population vs detuning for two kinds "
                   "of nonidentical atoms; " + _SELECTIVE_NOTE)
 
@@ -239,7 +222,7 @@ def _fig13():
 def _fig14():
     cols = _selective_sweep([("split", 1.0, 1.0)], 10.0,
                             ["pop_ee", "pop_ss"], np.linspace(-25, 25, 501))
-    return _table(list(cols), list(cols.values()),
+    return _table(cols,
                   "upper and symmetric populations vs detuning; "
                   + _SELECTIVE_NOTE)
 
@@ -251,7 +234,7 @@ def _fig15():
         sub = _selective_sweep([("split", 1.0, 1.0)], om, ["pop_aa"],
                                detunings)
         cols[f"pop_aa_rabi{om:g}"] = sub["pop_aa_split"]
-    return _table(list(cols), list(cols.values()),
+    return _table(cols,
                   "antisymmetric-state population vs detuning and drive; "
                   + _SELECTIVE_NOTE)
 
@@ -268,14 +251,12 @@ def _fig17():
     pair = _pair(0.1)
     for tag, angle in (("perp", math.pi / 2), ("quarter", math.pi / 4),
                        ("axial", 0.0)):
-        vals = []
-        for d in detunings:
-            drive = geometry.DriveField(rabi=0.5, detuning=d,
-                                        propagation_angle=angle)
-            _, rho = _steady_pops(pair, drive)
-            vals.append(observables.visibility(rho))
-        cols[f"visibility_{tag}"] = np.array(vals)
-    return _table(list(cols), list(cols.values()),
+        states, _ = dynamics.steady_states(dynamics.build_vacuum_drive(
+            pair, geometry.DriveField(rabi=0.5, detuning=d,
+                                      propagation_angle=angle))
+            for d in detunings)
+        cols[f"visibility_{tag}"] = observables.visibility(states)
+    return _table(cols,
                   "fringe visibility vs detuning; nominal drive quoted both "
                   "as rabi = 0.5 and 0.25 for this configuration, 0.5 kept")
 
@@ -292,20 +273,17 @@ def _squeezed_sweep(n_eff, quantum, columns=("pop_ee", "pop_aa", "pop_ss")):
     seps = np.linspace(0.02, 1.5, 149)
     m = math.sqrt(n_eff * (n_eff + 1.0)) if quantum else n_eff
     res = geometry.SqueezedReservoir(n_photons=n_eff, m_magnitude=m)
-    out = {name: [] for name in columns}
-    for s in seps:
-        pair = _pair(s)
-        gen = dynamics.build_squeezed(pair, res)
-        rho, _ = dynamics.steady_state(gen)
-        pops = basis.collective_populations(rho)
-        for name in columns:
-            if name == "purity":
-                out[name].append(observables.purity(rho))
-            elif name == "visibility":
-                out[name].append(observables.visibility(rho))
-            else:
-                out[name].append(pops[{"pop_ss": 1, "pop_aa": 2,
-                                       "pop_ee": 3}[name]])
+    states, _ = dynamics.steady_states(
+        dynamics.build_squeezed(_pair(s), res) for s in seps)
+    out = {}
+    for name in columns:
+        if name == "purity":
+            out[name] = observables.purity(states)
+        elif name == "visibility":
+            out[name] = observables.visibility(states)
+        else:
+            out[name] = basis.collective_populations(states)[
+                :, _POPULATIONS[name]]
     return seps, out
 
 
@@ -315,9 +293,9 @@ def _fig19():
     for tag, quantum in (("quantum", True), ("classical", False)):
         seps, out = _squeezed_sweep(0.05, quantum)
         for name, vals in out.items():
-            cols[f"{name}_{tag}"] = np.array(vals)
+            cols[f"{name}_{tag}"] = vals
     cols = {"separation": seps, **cols}
-    return _table(list(cols), list(cols.values()),
+    return _table(cols,
                   "stationary collective populations vs separation in "
                   "quantum and classical squeezed baths")
 
@@ -327,9 +305,9 @@ def _fig20():
     seps = None
     for n in (0.05, 0.5, 5.0):
         seps, out = _squeezed_sweep(n, True, columns=("purity",))
-        cols[f"purity_n{n:g}"] = np.array(out["purity"])
+        cols[f"purity_n{n:g}"] = out["purity"]
     cols = {"separation": seps, **cols}
-    return _table(list(cols), list(cols.values()),
+    return _table(cols,
                   "stationary purity vs separation under ideal quantum "
                   "squeezing")
 
@@ -342,17 +320,14 @@ def _fig21():
         n = 0.5
         m = math.sqrt(n * (n + 1.0)) if quantum else n
         res = geometry.SqueezedReservoir(n_photons=n, m_magnitude=m)
-        pops = {k: [] for k in range(4)}
-        for s in seps:
-            gen = dynamics.build_squeezed(_pair(s), res)
-            rho, _ = dynamics.steady_state(gen)
-            rc = basis.basis_transform("to_collective", rho)
-            states = entangled_eigenstates(rc)
-            for k, (_, population, _) in enumerate(states):
-                pops[k].append(population)
+        states, _ = dynamics.steady_states(
+            dynamics.build_squeezed(_pair(s), res) for s in seps)
+        pops = np.array([[population for _, population, _ in
+                          entangled_eigenstates(rc)] for rc in
+                         basis.basis_transform("to_collective", states)])
         for k, label in enumerate(("P1", "P2", "P3", "P4")):
-            cols[f"{label}_{tag}"] = np.array(pops[k])
-    return _table(list(cols), list(cols.values()),
+            cols[f"{label}_{tag}"] = pops[:, k]
+    return _table(cols,
                   "populations of the entangled eigenstates vs separation")
 
 
@@ -362,9 +337,9 @@ def _fig22():
     for tag, quantum in (("quantum", True), ("classical", False)):
         for n in (0.05, 0.5, 5.0):
             seps, out = _squeezed_sweep(n, quantum, columns=("visibility",))
-            cols[f"visibility_{tag}_n{n:g}"] = np.array(out["visibility"])
+            cols[f"visibility_{tag}_n{n:g}"] = out["visibility"]
     cols = {"separation": seps, **cols}
-    return _table(list(cols), list(cols.values()),
+    return _table(cols,
                   "fringe visibility vs separation in quantum and classical "
                   "squeezed baths")
 

@@ -20,7 +20,7 @@ from .errors import TrajectoryBudgetError, ValidationError
 from .validation import validate_density_matrix
 
 MAX_JUMPS_DEFAULT = 1_000_000
-MAX_EIGVEC_COND = 1e8
+MAX_EIGVEC_COND = 1e6
 
 
 @dataclass(frozen=True)

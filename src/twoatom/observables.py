@@ -4,7 +4,8 @@ Detected intensities are quoted in photons per unit gamma1 time with the
 geometric prefactor normalized so the solid-angle integral of the angular
 distribution returns the total emission rate.  Two-time correlations use
 the quantum regression theorem: collapse, propagate with the generator,
-collapse again.
+collapse again.  The one-time observables of a state also take a
+(..., 4, 4) stack of states, validate it once and return an array.
 """
 import math
 from dataclasses import dataclass
@@ -16,6 +17,14 @@ from .dynamics import Generator, evolve
 from .errors import DomainError, UndefinedValueError, ValidationError
 from .operators import (KET_A, S1M, S1P, S2M, S2P, SM, SP, expect)
 from .validation import validate_density_matrix
+
+# S_i^+ S_j^- over the atom pair (i, j)
+_RAISE_LOWER = np.array([[S1P @ S1M, S1P @ S2M], [S2P @ S1M, S2P @ S2M]])
+
+
+def _value(x):
+    """A float for one state, the array itself for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 @dataclass(frozen=True)
@@ -64,17 +73,19 @@ def detection_operator(pair: geometry.AtomPairConfig, theta: float) -> np.ndarra
             + math.sqrt(pair.gamma2) * np.exp(+1j * phase) * S2M)
 
 
-def total_intensity(rho: np.ndarray, pair: geometry.AtomPairConfig) -> float:
-    """Total photon emission rate of the state."""
+def total_intensity(rho: np.ndarray, pair) -> float | np.ndarray:
+    """Total photon emission rate sum_ij G_ij <S_i^+ S_j^-> of the state.
+
+    ``pair`` is one AtomPairConfig, or for a stack of states a sequence
+    of one per state.
+    """
     rho = validate_density_matrix(rho)
-    gm = geometry.damping_matrix(pair)
-    raising = [S1P, S2P]
-    lowering = [S1M, S2M]
-    out = 0.0
-    for i in range(2):
-        for j in range(2):
-            out += gm[i, j] * expect(raising[i] @ lowering[j], rho).real
-    return max(out, 0.0)
+    if isinstance(pair, geometry.AtomPairConfig):
+        gm = geometry.damping_matrix(pair)
+    else:
+        gm = np.array([geometry.damping_matrix(p) for p in pair])
+    corr = np.einsum("...ab,ijba->...ij", rho, _RAISE_LOWER).real
+    return _value(np.maximum((gm * corr).sum(axis=(-2, -1)), 0.0))
 
 
 def angular_intensity(rho: np.ndarray, pair: geometry.AtomPairConfig,
@@ -153,7 +164,8 @@ def mandel_q(g2_value: float, efficiency: float, window: float) -> float:
 
 
 def quadrature_variance(rho: np.ndarray, pair: geometry.AtomPairConfig,
-                        alpha: float, geom: DetectionGeometry) -> float:
+                        alpha: float,
+                        geom: DetectionGeometry) -> float | np.ndarray:
     """Normally ordered quadrature variance of the fluorescence field,
     per atom, for observation perpendicular to the interatomic axis.
 
@@ -172,30 +184,36 @@ def quadrature_variance(rho: np.ndarray, pair: geometry.AtomPairConfig,
     spsm = expect(SP @ SM, rho)
     linear = 2.0 * (sm_mean * phase).real
     bracket = spsm.real + (smsm * phase ** 2).real - 0.5 * linear ** 2
-    return 0.25 * bracket
+    return _value(0.25 * bracket)
 
 
-def visibility(rho: np.ndarray) -> float:
-    """First-order fringe contrast; negative for a dark-centered pattern."""
+def visibility(rho: np.ndarray) -> float | np.ndarray:
+    """First-order fringe contrast; negative for a dark-centered pattern.
+
+    A dark state has no fringes: a single one raises UndefinedValueError,
+    in a stack its entry is NaN.
+    """
     rho = validate_density_matrix(rho)
-    num = 2.0 * expect(S1P @ S2M, rho).real
-    den = expect(S1P @ S1M, rho).real + expect(S2P @ S2M, rho).real
-    if den <= 1e-14:
+    corr = np.einsum("...ab,ijba->...ij", rho, _RAISE_LOWER).real
+    num = 2.0 * corr[..., 0, 1]
+    den = corr[..., 0, 0] + corr[..., 1, 1]
+    dark = den <= 1e-14
+    if rho.ndim == 2 and dark:
         raise UndefinedValueError("visibility undefined for a dark state")
-    return num / den
+    return _value(np.where(dark, np.nan, num / np.where(dark, 1.0, den)))
 
 
-def purity(rho: np.ndarray) -> float:
+def purity(rho: np.ndarray) -> float | np.ndarray:
     """Tr(rho^2)."""
     rho = validate_density_matrix(rho)
-    return float(np.trace(rho @ rho).real)
+    return _value(np.einsum("...ij,...ji->...", rho, rho).real)
 
 
-def total_spin_squared(rho: np.ndarray) -> float:
+def total_spin_squared(rho: np.ndarray) -> float | np.ndarray:
     """S^2 expectation, 2 - 2 * (antisymmetric-state population)."""
     rho = validate_density_matrix(rho)
-    p_anti = float((KET_A.conj() @ rho @ KET_A).real)
-    return 2.0 - 2.0 * p_anti
+    p_anti = np.einsum("i,...ij,j->...", KET_A.conj(), rho, KET_A).real
+    return _value(2.0 - 2.0 * p_anti)
 
 
 def field_variance_mapping(res: geometry.SqueezedReservoir,

@@ -75,6 +75,7 @@ def ket_density(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def expect(op: np.ndarray, rho: np.ndarray) -> complex:
-    """Tr(rho op)."""
-    return complex(np.trace(np.asarray(rho) @ np.asarray(op)))
+def expect(op: np.ndarray, rho: np.ndarray) -> complex | np.ndarray:
+    """Tr(rho op) of a state, or of each state in a (..., 4, 4) stack."""
+    value = np.einsum("...ij,ji->...", rho, op)
+    return complex(value) if value.ndim == 0 else value

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.linalg import expm
 
 from conftest import random_density_matrix, random_hermitian, random_pair
 from twoatom import analytic, basis, dynamics, geometry, observables
-from twoatom.errors import DomainError, ValidationError
+from twoatom.errors import DomainError, SteadyStateError, ValidationError
 from twoatom.operators import (KET_A, KET_EG, S1M, S1P, S2M, SM, SP,
                                dissipator, expect, hamiltonian_superop,
                                ket_density, unvec, vec)
@@ -398,6 +399,34 @@ class TestSteadyState:
                     pair(separation, dipole_angle=angle), drive)
                 _, degenerate = dynamics.steady_state(gen)
                 assert degenerate == (separation == 0.0)
+
+    @pytest.mark.parametrize("reference", [None, ket_density(KET_A)])
+    def test_stack_matches_one_point_solves(self, reference):
+        # an ordinary point, a near-contact one (Omega12 ~ 1e5) and the
+        # degenerate Dicke pair, cycled past the end of one solver chunk
+        separations = (0.3, 0.003, 0.0)
+        size = dynamics.STACK_CHUNK + 1
+        gens = [dynamics.build_vacuum_drive(
+                    pair(separations[k % 3]),
+                    geometry.DriveField(rabi=1.0, detuning=detuning))
+                for k, detuning in enumerate(np.linspace(-2.0, 2.0, size))]
+        states, degenerate = dynamics.steady_states(
+            (gen for gen in gens), reference=reference)
+        assert states.shape == (size, 4, 4)
+        assert degenerate.tolist() == [k % 3 == 2 for k in range(size)]
+        for k, gen in enumerate(gens):
+            rho, flag = dynamics.steady_state(gen, reference=reference)
+            assert np.abs(states[k] - rho).max() <= 1e-13
+            assert degenerate[k] == flag
+
+    def test_stack_with_a_point_without_null_vector_raises(self):
+        gen = dynamics.build_vacuum_drive(pair(0.3),
+                                          geometry.DriveField(rabi=1.0))
+        # an invertible generator has no stationary state
+        invertible = SimpleNamespace(matrix=-np.eye(16, dtype=complex),
+                                     channels=((1.0, S1M),))
+        with pytest.raises(SteadyStateError, match="no null vector"):
+            dynamics.steady_states([gen, gen, invertible, gen])
 
     def test_trace_preservation_random_states(self, rng):
         builders = [

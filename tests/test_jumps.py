@@ -173,8 +173,23 @@ class TestPropagator:
         jordan[0, 1] = 1.0
         gen = dynamics.Generator(h=jordan, channels=(), scenario="test")
         with pytest.raises(ValidationError,
-                           match=r"condition number .* exceeds 1e\+08"):
+                           match=r"condition number .* exceeds 1e\+06"):
             jumps.NoJumpPropagator(gen)
+
+    def test_exceptional_point_is_rejected_and_its_neighbour_sampled(self):
+        # identical atoms at contact with delta = Gamma12 / 2: the no-jump
+        # Hamiltonian is defective; its eigenvector condition number, set by
+        # round-off, reads ~8e7, far above the limit
+        def undriven(delta):
+            return vacuum(pair(0.0, delta=delta))
+        with pytest.raises(ValidationError,
+                           match=r"condition number .* exceeds 1e\+06"):
+            jumps.NoJumpPropagator(undriven(0.5))
+        ensemble = jumps.run_trajectories(
+            undriven(0.49999), ket_density(KET_EE), 40, 3,
+            np.linspace(0.0, 4.0, 9), workers=1)
+        assert sum(r.jump_times.size for r in ensemble.records) > 0
+        assert np.isfinite(ensemble.mean_states).all()
 
 
 class TestChannels:

@@ -3,8 +3,9 @@
 Each builder states a Hamiltonian and decay channels; the generator, the
 no-jump Hamiltonian and the reset map all follow from them.  Random
 pairs, drives, reservoirs and cavity parameters check that the derived
-objects are mutually consistent and that the propagator exp(L t) is
-completely positive.
+objects are mutually consistent, that the generator equals the sum of
+the reference superoperators, that the propagator exp(L t) is completely
+positive and that the stationary state is a density matrix.
 """
 import math
 
@@ -15,7 +16,8 @@ from scipy.linalg import expm
 from twoatom import dynamics, geometry, jumps
 from twoatom.errors import ValidationError
 from twoatom.figures import _small_sample_generator
-from twoatom.operators import I4, unvec, vec
+from twoatom.operators import (I4, dissipator, hamiltonian_superop, unvec,
+                               vec)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -62,6 +64,11 @@ def squeezed_cases(draw):
 def check_model(gen: dynamics.Generator, psi: list) -> None:
     lmat = gen.matrix
     scale = max(1.0, np.abs(lmat).max())
+    # the assembled generator equals -i[h, .] + sum_k rate_k D[op_k] built
+    # from the reference Kronecker-product superoperators
+    reference = hamiltonian_superop(gen.h) + sum(
+        dissipator(rate, op) for rate, op in gen.channels)
+    assert np.abs(lmat - reference).max() <= 1e-14 * scale
     # trace preservation: vec(I)^+ L = 0
     assert np.abs(vec(I4).conj() @ lmat).max() < 1e-12 * scale
     # Hermiticity preservation: L(X)^+ = L(X^+) on every matrix unit
@@ -86,6 +93,12 @@ def check_model(gen: dynamics.Generator, psi: list) -> None:
         choi = prop.transpose(3, 1, 2, 0).reshape(16, 16)
         assert np.abs(choi - choi.conj().T).max() < 1e-12 * scale * t
         assert np.linalg.eigvalsh(choi).min() > -1e-12 * scale * t
+    # the stacked solver's stationary state is a density matrix
+    states, _ = dynamics.steady_states([gen])
+    rho = states[0]
+    assert np.abs(rho - rho.conj().T).max() < 1e-14
+    assert abs(np.trace(rho) - 1.0) < 1e-12
+    assert np.linalg.eigvalsh(rho).min() > -1e-12
     # the no-jump flux at t = 0 is the trace of the reset map
     ket = np.array(psi[:4]) + 1j * np.array(psi[4:])
     assume(np.linalg.norm(ket) > 1e-2)

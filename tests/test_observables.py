@@ -372,6 +372,61 @@ class TestPurityAndSpin:
         assert observables.total_spin_squared(rho) == pytest.approx(1.5)
 
 
+class TestStackedObservables:
+    def test_stack_equals_per_state_calls(self, rng):
+        # random states plus the dark ground state, whose visibility is
+        # NaN in a stack and an error on its own
+        dark = np.diag([1.0, 0, 0, 0]).astype(complex)
+        states = np.array([random_density_matrix(rng) for _ in range(6)]
+                          + [dark])
+        pairs = [random_pair(rng) for _ in states]
+        cb = basis.build_basis(pairs[0])
+        stacked = {
+            "populations": basis.collective_populations(states, cb),
+            "transform": basis.basis_transform("to_product", states, cb),
+            "intensity": observables.total_intensity(states, pairs[0]),
+            "intensity_per_pair": observables.total_intensity(states, pairs),
+            "visibility": observables.visibility(states[:-1]),
+            "purity": observables.purity(states),
+            "spin_squared": observables.total_spin_squared(states),
+            "variance": observables.quadrature_variance(states, pairs[0],
+                                                        0.7, perp()),
+        }
+        for k, rho in enumerate(states):
+            single = {
+                "populations": basis.collective_populations(rho, cb),
+                "transform": basis.basis_transform("to_product", rho, cb),
+                "intensity": observables.total_intensity(rho, pairs[0]),
+                "intensity_per_pair": observables.total_intensity(rho,
+                                                                  pairs[k]),
+                "purity": observables.purity(rho),
+                "spin_squared": observables.total_spin_squared(rho),
+                "variance": observables.quadrature_variance(rho, pairs[0],
+                                                            0.7, perp()),
+            }
+            if k < len(states) - 1:
+                single["visibility"] = observables.visibility(rho)
+            # the emission rate written out term by term
+            gm = geometry.damping_matrix(pairs[k])
+            ops = ((S1M, S1M), (S1M, S2M), (S2M, S1M), (S2M, S2M))
+            rate = sum(gm[i // 2, i % 2]
+                       * np.trace(rho @ a.conj().T @ b).real
+                       for i, (a, b) in enumerate(ops))
+            assert stacked["intensity_per_pair"][k] == pytest.approx(
+                max(rate, 0.0), abs=1e-14)
+            for name, value in single.items():
+                assert np.abs(stacked[name][k] - value).max() <= 1e-15, name
+        visibility = observables.visibility(states)
+        assert np.isnan(visibility[-1])
+        assert np.array_equal(visibility[:-1], stacked["visibility"])
+        with pytest.raises(UndefinedValueError):
+            observables.visibility(dark)
+        # one state off unit trace rejects the whole stack
+        states[1, 0, 0] += 0.1
+        with pytest.raises(ValidationError, match="trace"):
+            observables.purity(states)
+
+
 class TestFieldVarianceMapping:
     def _steady(self, n_eff):
         res = geometry.SqueezedReservoir(
