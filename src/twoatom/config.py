@@ -65,7 +65,7 @@ _SCHEMA = {
     # jump ensemble
     "n_traj": (int, 1000),
     "seed": (int, 0),
-    "workers": (int, 0),  # 0 means automatic
+    "workers": (int, 0),  # read by nothing; kept so older tables parse
     "max_jumps": (int, 1_000_000),
     # figure preset
     "figure": (str, ""),

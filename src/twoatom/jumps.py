@@ -4,16 +4,16 @@ Between jumps the conditional state evolves under the generator's
 no-jump Hamiltonian h - (i/2) sum_k rate_k op_k^+ op_k; jump times are
 sampled exactly by inverting the no-jump probability built from its
 eigendecomposition, and each jump applies one of the generator's
-channels.  Trajectories are reproducible: stream index i of base seed s
-always uses the counter-based generator keyed by (s, i), so ensembles
-are bit-identical no matter how many workers run them.
+channels.  An ensemble runs in one process, its trajectories in lockstep
+(one vectorised solve of P(t) = xi per round).  Stream i of seed s draws
+from the counter-based generator keyed by (s, i) and every array
+operation is row-local, so a trajectory's record depends only on (s, i):
+it is bit-identical in an ensemble of any size.
 """
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dynamics import Generator
 from .errors import TrajectoryBudgetError, ValidationError
@@ -21,6 +21,9 @@ from .validation import validate_density_matrix
 
 MAX_JUMPS_DEFAULT = 1_000_000
 MAX_EIGVEC_COND = 1e6
+XTOL, RTOL = 1e-13, 4 * np.finfo(float).eps
+# trajectories advanced together; bounds the size of the working arrays
+LANES = 2048
 
 
 @dataclass(frozen=True)
@@ -36,7 +39,7 @@ class TrajectoryRecord:
 
 @dataclass(frozen=True)
 class JumpEnsemble:
-    """Ensemble summary plus the individual trajectory records."""
+    """Ensemble summary and records; run_trajectories explains the errors."""
     times: np.ndarray
     mean_states: np.ndarray
     population_stderr: np.ndarray
@@ -46,12 +49,19 @@ class JumpEnsemble:
     n_trajectories: int = 0
 
 
+def _unit(vecs: np.ndarray) -> np.ndarray:
+    return vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
+
+
 class NoJumpPropagator:
     """Eigendecomposed evolution under a generator's no-jump Hamiltonian.
 
     Provides the conditional state, the no-jump probability and the
     waiting-time density as closed sums of complex exponentials, which is
-    what makes exact jump-time sampling cheap.
+    what makes exact jump-time sampling cheap.  Each method takes a state
+    (4,) or a block (B, 4), row by row; times broadcast against the block.
+    Products use einsum: a BLAS product's blocking could make a row's bits
+    depend on the block it is in.
     """
 
     def __init__(self, gen: Generator):
@@ -70,46 +80,72 @@ class NoJumpPropagator:
         self.exponents = (1j * (evals.conj()[:, None] - evals[None, :])).ravel()
 
     def _weights(self, psi0: np.ndarray) -> np.ndarray:
-        c = self.vinv @ psi0
-        return ((c.conj()[:, None] * self.gram) * c[None, :]).ravel()
+        c = np.einsum("ij,...j->...i", self.vinv, psi0)
+        w = c.conj()[..., :, None] * self.gram * c[..., None, :]
+        return w.reshape(w.shape[:-2] + (16,))
 
-    def state(self, psi0: np.ndarray, t: float) -> np.ndarray:
-        c = self.vinv @ psi0
-        return self.vmat @ (np.exp(-1j * self.evals * t) * c)
+    def _series(self, w: np.ndarray, t) -> np.ndarray:
+        e = np.exp(np.asarray(t, dtype=float)[..., None] * self.exponents)
+        return np.real((w * e).sum(axis=-1))
+
+    def state(self, psi0: np.ndarray, t) -> np.ndarray:
+        """Unnormalized conditional state exp(-i Hc t) psi0."""
+        c = np.einsum("ij,...j->...i", self.vinv, psi0)
+        c = c * np.exp(-1j * np.asarray(t, dtype=float)[..., None] * self.evals)
+        return np.einsum("ij,...j->...i", self.vmat, c)
 
     def survival(self, psi0: np.ndarray, t) -> np.ndarray | float:
         """No-jump probability P(t) = |exp(-i Hc t) psi0|^2."""
-        w = self._weights(psi0)
-        t = np.asarray(t, dtype=float)
-        p = np.real(np.exp(np.multiply.outer(t, self.exponents)) @ w)
+        p = self._series(self._weights(psi0), t)
         return float(p) if p.ndim == 0 else p
 
     def waiting_density(self, psi0: np.ndarray, t) -> np.ndarray | float:
         """w1(t) = -dP/dt, evaluated analytically from the exponents."""
-        w = self._weights(psi0) * self.exponents
-        t = np.asarray(t, dtype=float)
-        d = -np.real(np.exp(np.multiply.outer(t, self.exponents)) @ w)
+        d = -self._series(self._weights(psi0) * self.exponents, t)
         return float(d) if d.ndim == 0 else d
 
-    def sample_jump(self, psi0: np.ndarray, xi: float,
-                    horizon: float) -> float | None:
-        """Solve P(t) = xi on [0, horizon]; None when no jump occurs."""
-        if self.survival(psi0, horizon) >= xi:
-            return None
-        f = lambda t: self.survival(psi0, t) - xi
-        return brentq(f, 0.0, horizon, xtol=1e-13, rtol=8.9e-16)
+    def sample_jump(self, psi0: np.ndarray, xi: np.ndarray,
+                    horizon: np.ndarray) -> np.ndarray:
+        """Solve P(t) = xi on [0, horizon] for states (B, 4), draws (B,)
+        and horizons (B,); NaN where P(horizon) >= xi (no jump).  Newton
+        steps on log P - log xi use the analytic waiting density; a step
+        leaving the bracket or not halving the one before last bisects it.
+        A row stops once its step is below XTOL + RTOL * t."""
+        delay = np.full(np.shape(xi), np.nan)
+        rows = np.flatnonzero(self.survival(psi0, horizon) < xi)
+        w = self._weights(psi0[rows])
+        dw = w * self.exponents
+        target = np.log(xi[rows])
+        lo, hi = np.zeros(rows.size), horizon[rows]
+        t, last, before = 0.5 * hi, hi, hi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while rows.size:
+                e = np.exp(t[:, None] * self.exponents)
+                p = np.real((w * e).sum(axis=1))
+                g = np.log(p) - target
+                lo, hi = np.where(g > 0, t, lo), np.where(g > 0, hi, t)
+                step = g * p / np.real((dw * e).sum(axis=1))
+                newton = ((t - step >= lo) & (t - step <= hi)
+                          & (np.abs(step) <= 0.5 * np.abs(before)))
+                step = np.where(newton, step, t - 0.5 * (lo + hi))
+                t = t - step
+                done = np.abs(step) <= XTOL + RTOL * t
+                delay[rows[done]] = t[done]
+                keep = ~done
+                rows, w, dw, target = rows[keep], w[keep], dw[keep], target[keep]
+                lo, hi, t = lo[keep], hi[keep], t[keep]
+                last, before = step[keep], last[keep]
+        return delay
 
 
 def no_jump_probability(psi0: np.ndarray, t, gen: Generator):
     """Probability of detecting no jump up to time t from state psi0."""
-    psi0 = _normalized_vector(psi0)
-    return NoJumpPropagator(gen).survival(psi0, t)
+    return NoJumpPropagator(gen).survival(_normalized_vector(psi0), t)
 
 
 def waiting_time_density(psi0: np.ndarray, t, gen: Generator):
     """Density of the first-jump delay from state psi0."""
-    psi0 = _normalized_vector(psi0)
-    return NoJumpPropagator(gen).waiting_density(psi0, t)
+    return NoJumpPropagator(gen).waiting_density(_normalized_vector(psi0), t)
 
 
 def _normalized_vector(psi: np.ndarray) -> np.ndarray:
@@ -133,91 +169,73 @@ def _initial_sampler(rho0: np.ndarray):
     return lambda rng: states[rng.choice(len(weights), p=weights)]
 
 
-def _simulate_one(index: int, seed: int, prop: NoJumpPropagator,
-                  channels, sampler, grid: np.ndarray,
-                  max_jumps: int):
-    rng = np.random.Generator(np.random.Philox(key=[seed, index]))
-    psi = _normalized_vector(sampler(rng))
-    horizon = grid[-1]
-    t_now = 0.0
-    cursor = 0
-    n_grid = len(grid)
-    sampled = np.empty((n_grid, 4), dtype=complex)
-    jump_times, picks, post_states = [], [], []
-    while True:
-        xi = rng.random()
-        t_jump = prop.sample_jump(psi, xi, horizon - t_now)
-        t_stop = horizon if t_jump is None else t_now + t_jump
-        while cursor < n_grid and grid[cursor] <= t_stop + 1e-15:
-            phi = prop.state(psi, grid[cursor] - t_now)
-            sampled[cursor] = phi / np.linalg.norm(phi)
-            cursor += 1
-        if t_jump is None:
-            phi = prop.state(psi, horizon - t_now)
-            psi = phi / np.linalg.norm(phi)
-            break
-        phi = prop.state(psi, t_jump)
-        weights = np.array([rate * np.linalg.norm(op @ phi) ** 2
-                            for rate, op in channels])
-        total = weights.sum()
-        if total <= 0:
-            # dark state reached, no further emissions possible
-            psi = phi / np.linalg.norm(phi)
-            t_now = t_stop
-            continue
-        pick = rng.choice(len(channels), p=weights / total)
-        phi = channels[pick][1] @ phi
-        psi = phi / np.linalg.norm(phi)
-        t_now = t_stop
-        jump_times.append(t_now)
-        picks.append(pick)
-        post_states.append(psi.copy())
-        if len(jump_times) > max_jumps:
-            raise TrajectoryBudgetError(
-                f"trajectory {index} exceeded {max_jumps} jumps",
-                partial=(index, np.array(jump_times)))
-    while cursor < n_grid:
-        phi = prop.state(psi, grid[cursor] - t_now)
-        sampled[cursor] = phi / np.linalg.norm(phi)
-        cursor += 1
-    record = TrajectoryRecord(
-        seed=seed, index=index,
-        jump_times=np.array(jump_times, dtype=float),
-        channels=np.array(picks, dtype=int),
-        post_jump_states=np.array(post_states, dtype=complex).reshape(-1, 4),
-        final_state=psi)
-    return sampled, record
-
-
-def _run_block(args):
-    (indices, seed, gen, rho0, grid, max_jumps) = args
-    prop = NoJumpPropagator(gen)
-    channels = gen.channels
-    sampler = _initial_sampler(rho0)
-    n_grid = len(grid)
-    state_sum = np.zeros((n_grid, 4, 4), dtype=complex)
-    pop_sum = np.zeros((n_grid, 4))
-    pop_sumsq = np.zeros((n_grid, 4))
-    bin_counts = np.zeros(max(n_grid - 1, 1))
-    records = []
-    for index in indices:
-        sampled, record = _simulate_one(index, seed, prop, channels,
-                                        sampler, grid, max_jumps)
-        for k in range(n_grid):
-            state_sum[k] += np.outer(sampled[k], sampled[k].conj())
-        pops = np.abs(sampled) ** 2
-        pop_sum += pops
-        pop_sumsq += pops ** 2
-        if n_grid > 1 and record.jump_times.size:
-            bins = np.searchsorted(grid[1:], record.jump_times, side="left")
-            for b in bins[bins < n_grid - 1]:
-                bin_counts[b] += 1
-        records.append(record)
-    return state_sum, pop_sum, pop_sumsq, bin_counts, records
+def _lockstep(prop: NoJumpPropagator, gen: Generator, sampler, seed: int,
+              indices: range, grid: np.ndarray, max_jumps: int, sums):
+    """Run streams ``indices`` together to grid[-1], adding their grid
+    states' outer products and squared populations into ``sums``.  Each
+    stream draws its initial state (mixed rho0 only), then per round one
+    xi and, if it jumps to a state some channel can empty, one variate."""
+    state_sum, pop_sumsq = sums
+    rngs = [np.random.Generator(np.random.Philox(key=[seed, i]))
+            for i in indices]
+    psi = _unit(np.array([sampler(rng) for rng in rngs], dtype=complex))
+    rates = np.array([rate for rate, _ in gen.channels], dtype=float)
+    ops = np.array([op for _, op in gen.channels]).reshape(-1, 4, 4)
+    horizon, live = grid[-1], np.arange(len(rngs))
+    t_now, cursor = np.zeros(live.size), np.zeros(live.size, dtype=int)
+    final = np.empty((live.size, 4), dtype=complex)
+    history = [[] for _ in rngs]  # (time, channel, post-jump state)
+    while live.size:
+        xi = np.array([rngs[b].random() for b in live])
+        delay = prop.sample_jump(psi[live], xi, horizon - t_now[live])
+        jumped = ~np.isnan(delay)
+        t_stop = np.where(jumped, t_now[live] + delay, horizon)
+        # every grid point up to this stop, for every live lane at once
+        stop = np.searchsorted(grid, t_stop + 1e-15, side="right")
+        counts = stop - cursor[live]
+        lane = np.repeat(live, counts)
+        k = np.repeat(cursor[live] - np.cumsum(counts) + counts,
+                      counts) + np.arange(lane.size)
+        phi = _unit(prop.state(psi[lane], grid[k] - t_now[lane]))
+        np.add.at(state_sum, k, phi[:, :, None] * phi.conj()[:, None, :])
+        np.add.at(pop_sumsq, k, np.real(phi.conj() * phi) ** 2)
+        cursor[live] = stop
+        ended = live[~jumped]
+        final[ended] = _unit(prop.state(psi[ended], horizon - t_now[ended]))
+        live = live[jumped]
+        t_now[live] = t_stop[jumped]
+        phi = prop.state(psi[live], delay[jumped])
+        emptied = np.einsum("kij,bj->bki", ops, phi)
+        weights = rates * np.real(emptied.conj() * emptied).sum(axis=2)
+        total = weights.sum(axis=1)
+        # a dark state emits on no channel: no variate, no jump
+        psi[live[total <= 0]] = _unit(phi[total <= 0])
+        emit = total > 0
+        lanes = live[emit]
+        u = np.array([rngs[b].random() for b in lanes])
+        # the draw of Generator.choice(p=weights / total)
+        cdf = np.cumsum(weights[emit] / total[emit, None], axis=1)
+        cdf /= cdf[:, -1:]
+        pick = (cdf <= u[:, None]).sum(axis=1)
+        post = _unit(emptied[emit][np.arange(lanes.size), pick])
+        psi[lanes] = post
+        for b, t, c, state in zip(lanes, t_now[lanes], pick, post):
+            history[b].append((t, c, state))
+            if len(history[b]) > max_jumps:
+                raise TrajectoryBudgetError(
+                    f"trajectory {indices[b]} exceeded {max_jumps} jumps",
+                    partial=(indices[b], np.array([h[0] for h in history[b]])))
+    return [TrajectoryRecord(
+        seed=seed, index=indices[b],
+        jump_times=np.array([h[0] for h in hist], dtype=float),
+        channels=np.array([h[1] for h in hist], dtype=int),
+        post_jump_states=np.array([h[2] for h in hist],
+                                  dtype=complex).reshape(-1, 4),
+        final_state=final[b]) for b, hist in enumerate(history)]
 
 
 def default_worker_count() -> int:
-    """Worker count, capped by the TWOATOM_MAX_WORKERS environment variable."""
+    """min(4, CPUs) capped by TWOATOM_MAX_WORKERS; ensembles use one."""
     n = min(4, os.cpu_count() or 1)
     cap = os.environ.get("TWOATOM_MAX_WORKERS")
     if cap:
@@ -231,10 +249,13 @@ def run_trajectories(gen: Generator, rho0: np.ndarray, n_traj: int,
     """Unravel the generator into an ensemble of jump trajectories and
     average it on the grid.
 
-    The ensemble mean converges to the master-equation state of ``gen``
-    at the usual Monte Carlo rate; population standard errors quantify
-    that spread.  Jump rates are estimated from the jump counts in each
-    grid bin.
+    The mean converges to the master-equation state of ``gen`` at the
+    Monte Carlo rate.  ``population_stderr`` is the sample standard error:
+    when jumps are rare most trajectories are identical and it collapses
+    toward 0, so a "within k standard errors" gate needs a floor.  Jump
+    rates come from the jump counts per grid bin; ``workers`` is unread.
+    Of the trajectories exceeding ``max_jumps`` in one round, the lowest
+    index raises ``TrajectoryBudgetError``, partial = (index, jump times).
     """
     if n_traj < 1:
         raise ValidationError("n_traj must be at least 1")
@@ -242,42 +263,25 @@ def run_trajectories(gen: Generator, rho0: np.ndarray, n_traj: int,
     if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
         raise ValidationError("grid must be one-dimensional and increasing")
     rho0 = validate_density_matrix(rho0)
-    workers = default_worker_count() if workers is None else max(1, workers)
-    indices = np.arange(n_traj)
-    # fixed-size blocks keep the partial-sum grouping, and therefore the
-    # ensemble averages, bit-identical for every worker count
-    blocks = [indices[i:i + 32] for i in range(0, n_traj, 32)]
-    payloads = [(blk, seed, gen, rho0, grid, max_jumps)
-                for blk in blocks if blk.size]
-    if workers == 1 or len(payloads) == 1:
-        results = [_run_block(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_block, payloads))
-    n_grid = len(grid)
-    state_sum = np.zeros((n_grid, 4, 4), dtype=complex)
-    pop_sum = np.zeros((n_grid, 4))
-    pop_sumsq = np.zeros((n_grid, 4))
-    bin_counts = np.zeros(max(n_grid - 1, 1))
+    prop, sampler = NoJumpPropagator(gen), _initial_sampler(rho0)
+    n_grid = grid.size
+    sums = (np.zeros((n_grid, 4, 4), dtype=complex), np.zeros((n_grid, 4)))
     records = []
-    for ssum, psum, psq, bc, recs in results:
-        state_sum += ssum
-        pop_sum += psum
-        pop_sumsq += psq
-        bin_counts += bc
-        records.extend(recs)
-    records.sort(key=lambda r: r.index)
-    mean_states = state_sum / n_traj
-    mean_pop = pop_sum / n_traj
-    var = np.maximum(pop_sumsq / n_traj - mean_pop ** 2, 0.0)
-    stderr = np.sqrt(var / n_traj)
-    if n_grid > 1:
-        widths = np.diff(grid)
-        rate = bin_counts / (n_traj * widths)
-        rate_err = np.sqrt(np.maximum(bin_counts, 1.0)) / (n_traj * widths)
-    else:
-        rate = np.zeros(1)
-        rate_err = np.zeros(1)
+    for start in range(0, n_traj, LANES):
+        records += _lockstep(prop, gen, sampler, seed,
+                             range(start, min(start + LANES, n_traj)),
+                             grid, max_jumps, sums)
+    mean_states = sums[0] / n_traj
+    mean_pop = np.real(np.einsum("kii->ki", mean_states))
+    stderr = np.sqrt(np.maximum(sums[1] / n_traj - mean_pop ** 2, 0.0) / n_traj)
+    widths = np.diff(grid)
+    bins = np.searchsorted(grid[1:], np.concatenate(
+        [r.jump_times for r in records]), side="left")
+    counts = np.bincount(bins[bins < widths.size], minlength=widths.size)
+    rate, rate_err = (counts / (n_traj * widths),
+                      np.sqrt(np.maximum(counts, 1.0)) / (n_traj * widths))
+    if n_grid == 1:
+        rate, rate_err = np.zeros(1), np.zeros(1)
     return JumpEnsemble(times=grid, mean_states=mean_states,
                         population_stderr=stderr, emission_rate=rate,
                         emission_rate_stderr=rate_err, records=records,

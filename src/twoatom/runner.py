@@ -155,20 +155,16 @@ def _run_jump(cfg: ScenarioConfig) -> ResultTable:
     gen = build_generator(cfg)
     ensemble = jumps.run_trajectories(gen, initial_state(cfg),
                                       cfg["n_traj"], cfg["seed"], cfg.grid(),
-                                      workers=cfg["workers"] or None,
                                       max_jumps=cfg["max_jumps"])
     reference = dynamics.evolve(gen, initial_state(cfg), cfg.grid())
-    columns = ["t"]
-    labels = ["gg", "ge", "eg", "ee"]  # product-basis (tensor) ordering
-    columns += [f"mc_{s}" for s in labels]
-    columns += [f"stderr_{s}" for s in labels]
-    columns += [f"me_{s}" for s in labels]
-    rows = []
-    for k, t in enumerate(ensemble.times):
-        mc = np.real(np.diag(ensemble.mean_states[k]))
-        me = np.real(np.diag(reference.states[k]))
-        rows.append([t, *mc, *ensemble.population_stderr[k], *me])
-    table = ResultTable(columns=columns, rows=rows)
+    columns = {"t": ensemble.times}
+    for kind, pops in (("mc", np.einsum("kii->ki", ensemble.mean_states)),
+                       ("stderr", ensemble.population_stderr),
+                       ("me", np.einsum("kii->ki", reference.states))):
+        # product-basis (tensor) ordering
+        columns.update({f"{kind}_{s}": np.real(pops[:, j]) for j, s
+                        in enumerate(("gg", "ge", "eg", "ee"))})
+    table = _table(columns)
     table.metadata["n_trajectories"] = ensemble.n_trajectories
     table.sidecars["records.jsonl"] = records_jsonl(ensemble.records)
     table.sidecars["records.txt"] = jumps.export_records(ensemble.records)

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from conftest import random_density_matrix, random_pair
+from data.pin_jump_records import PINNED, ensemble as pinned_ensemble
 from twoatom import dynamics, geometry, jumps, observables
 from twoatom.errors import TrajectoryBudgetError, ValidationError
 from twoatom.operators import KET_A, KET_EE, KET_S, ket_density
@@ -274,6 +277,56 @@ class TestTrajectories:
             jumps.run_trajectories(vacuum(p, drive), rho0, 2, seed=1,
                                    grid=np.linspace(0, 400, 5), workers=1,
                                    max_jumps=3)
+        # streams 1 and 2 both take their third jump in the third round,
+        # stream 0 never jumps: the error names stream 1, the lowest
+        grid = np.linspace(0, 2, 5)
+        full = jumps.run_trajectories(vacuum(p, drive), rho0, 4, seed=4,
+                                      grid=grid)
+        assert [r.jump_times.size for r in full.records] == [0, 3, 3, 2]
+        with pytest.raises(TrajectoryBudgetError) as err:
+            jumps.run_trajectories(vacuum(p, drive), rho0, 4, seed=4,
+                                   grid=grid, max_jumps=2)
+        index, times = err.value.partial
+        assert index == 1
+        assert np.array_equal(times, full.records[1].jump_times)
+
+    @pytest.mark.parametrize("case", ["driven", "undriven_ee", "mixed"])
+    def test_record_depends_only_on_its_stream(self, case):
+        # trajectories run in lockstep blocks; a stream's record must not
+        # depend on how many other streams share its block
+        grid = np.linspace(0, 5, 11)
+        if case == "driven":
+            gen = vacuum(pair(0.2), geometry.DriveField(rabi=2.0))
+            rho0 = np.diag([1.0, 0, 0, 0]).astype(complex)
+        elif case == "undriven_ee":
+            gen, rho0 = vacuum(pair(0.3)), ket_density(KET_EE)
+            grid = np.linspace(0, 8, 9)
+        else:
+            gen = vacuum(pair(0.15), geometry.DriveField(rabi=1.0))
+            rho0 = random_density_matrix(np.random.default_rng(7))
+        head = jumps.run_trajectories(gen, rho0, 64, seed=21, grid=grid)
+        assert sum(r.jump_times.size for r in head.records) > 0
+        for n in (300, 1000):
+            ens = jumps.run_trajectories(gen, rho0, n, seed=21, grid=grid)
+            for ra, rb in zip(head.records, ens.records[:64]):
+                assert ra.index == rb.index
+                assert np.array_equal(ra.jump_times, rb.jump_times)
+                assert np.array_equal(ra.channels, rb.channels)
+                assert np.array_equal(ra.post_jump_states,
+                                      rb.post_jump_states)
+                assert np.array_equal(ra.final_state, rb.final_state)
+
+    def test_records_match_pinned(self):
+        # the first 64 streams of the criterion-8 ensemble, pinned by
+        # tests/data/pin_jump_records.py before sampling was vectorised
+        pinned = json.loads(PINNED.read_text())["records"]
+        records = pinned_ensemble().records
+        assert len(records) == len(pinned)
+        for rec, ref in zip(records, pinned):
+            assert rec.index == ref["index"]
+            assert rec.channels.tolist() == ref["channels"]
+            assert np.abs(rec.jump_times - ref["jump_times"]).max(
+                initial=0.0) <= 1e-11
 
     def test_emission_rate_tracks_reset_flux(self):
         # undriven doubly excited small sample: the binned jump rate should

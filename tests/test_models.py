@@ -5,13 +5,15 @@ no-jump Hamiltonian and the reset map all follow from them.  Random
 pairs, drives, reservoirs and cavity parameters check that the derived
 objects are mutually consistent, that the generator equals the sum of
 the reference superoperators, that the propagator exp(L t) is completely
-positive and that the stationary state is a density matrix.
+positive and that the stationary state is a density matrix.  The jump
+sampler's block root solver is checked against brentq on every model.
 """
 import math
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from twoatom import dynamics, geometry, jumps
 from twoatom.errors import ValidationError
@@ -141,3 +143,49 @@ class TestModelProperties:
                           detuning, psi):
         check_model(_small_sample_generator(gamma1, gamma2, delta, omega12,
                                             rabi, detuning), psi)
+
+
+# every builder, plus undriven identical atoms at contact, whose
+# antisymmetric state is dark: there P(t) plateaus at |<a|psi>|^2
+models = st.one_of(
+    st.builds(dynamics.build_vacuum_drive, pairs(), drives),
+    st.builds(lambda case: dynamics.build_squeezed(*case), squeezed_cases()),
+    st.builds(dynamics.build_dicke_dressed, drives),
+    st.builds(dynamics.build_bad_cavity, pairs(), st.floats(0.0, 3.0),
+              st.floats(0.1, 200.0), st.floats(0.0, 50.0)),
+    st.builds(_small_sample_generator, rates, rates, st.floats(-3.0, 3.0),
+              st.floats(-20.0, 20.0), st.floats(0.0, 20.0),
+              st.floats(-25.0, 25.0)),
+    st.just(dynamics.build_vacuum_drive(
+        geometry.AtomPairConfig(separation=0.0),
+        geometry.DriveField(rabi=0.0))))
+
+
+class TestJumpTimeSolver:
+    @PROPERTY
+    @given(models, states, st.floats(0.05, 10.0), st.floats(0.01, 0.99))
+    def test_block_roots_match_brentq(self, gen, psi, horizon, fraction):
+        try:
+            prop = jumps.NoJumpPropagator(gen)
+        except ValidationError:
+            assume(False)  # defective no-jump Hamiltonian (exceptional point)
+        ket = np.array(psi[:4]) + 1j * np.array(psi[4:])
+        assume(np.linalg.norm(ket) > 1e-2)
+        ket = ket / np.linalg.norm(ket)
+        p_end = prop.survival(ket, horizon)
+        assume(p_end < 1.0 - 1e-9)
+        # near 1, just above P(horizon), in between, and P(horizon) itself
+        xi = np.array([1.0 - 1e-12, p_end + 1e-9,
+                       p_end + fraction * (1.0 - p_end), p_end])
+        roots = prop.sample_jump(np.tile(ket, (xi.size, 1)), xi,
+                                 np.full(xi.size, horizon))
+        assert np.isnan(roots[-1])
+        for t, x in zip(roots[:-1], xi[:-1]):
+            assert 0.0 <= t <= horizon
+            assert abs(prop.survival(ket, t) - x) <= 1e-12
+            ref = brentq(lambda s: prop.survival(ket, s) - x, 0.0, horizon,
+                         xtol=1e-13, rtol=8.9e-16)
+            # 1e-11, plus the span of t over which P, in double precision,
+            # moves by less than two ulps (wide where P plateaus)
+            blind = 2 * np.spacing(x) / prop.waiting_density(ket, ref)
+            assert abs(t - ref) <= 1e-11 + blind
