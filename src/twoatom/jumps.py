@@ -6,9 +6,8 @@ sampled exactly by inverting the no-jump probability built from its
 eigendecomposition, and each jump applies one of the generator's
 channels.  An ensemble runs in one process, its trajectories in lockstep
 (one vectorised solve of P(t) = xi per round).  Stream i of seed s draws
-from the counter-based generator keyed by (s, i) and every array
-operation is row-local, so a trajectory's record depends only on (s, i):
-it is bit-identical in an ensemble of any size.
+from the counter-based generator keyed by (s, i) and all array operations
+are row-local, so a record depends only on (s, i), whatever the ensemble.
 """
 import os
 from dataclasses import dataclass, field
@@ -22,8 +21,9 @@ from .validation import validate_density_matrix
 MAX_JUMPS_DEFAULT = 1_000_000
 MAX_EIGVEC_COND = 1e6
 XTOL, RTOL = 1e-13, 4 * np.finfo(float).eps
-# trajectories advanced together; bounds the size of the working arrays
-LANES = 2048
+# a block of trajectories advanced together holds at most LANES of them
+# and at most SAMPLES grid states, which bounds its working arrays
+LANES, SAMPLES = 2048, 1 << 15
 
 
 @dataclass(frozen=True)
@@ -171,10 +171,9 @@ def _initial_sampler(rho0: np.ndarray):
 
 def _lockstep(prop: NoJumpPropagator, gen: Generator, sampler, seed: int,
               indices: range, grid: np.ndarray, max_jumps: int, sums):
-    """Run streams ``indices`` together to grid[-1], adding their grid
-    states' outer products and squared populations into ``sums``.  Each
-    stream draws its initial state (mixed rho0 only), then per round one
-    xi and, if it jumps to a state some channel can empty, one variate."""
+    """Run streams ``indices`` together to grid[-1], summing grid states
+    into ``sums``.  A stream draws its initial state (mixed rho0 only),
+    then per round one xi, and a channel variate when it emits."""
     state_sum, pop_sumsq = sums
     rngs = [np.random.Generator(np.random.Philox(key=[seed, i]))
             for i in indices]
@@ -264,12 +263,11 @@ def run_trajectories(gen: Generator, rho0: np.ndarray, n_traj: int,
         raise ValidationError("grid must be one-dimensional and increasing")
     rho0 = validate_density_matrix(rho0)
     prop, sampler = NoJumpPropagator(gen), _initial_sampler(rho0)
-    n_grid = grid.size
-    sums = (np.zeros((n_grid, 4, 4), dtype=complex), np.zeros((n_grid, 4)))
-    records = []
-    for start in range(0, n_traj, LANES):
+    sums = np.zeros((grid.size, 4, 4), complex), np.zeros((grid.size, 4))
+    records, block = [], min(LANES, max(1, SAMPLES // grid.size))
+    for start in range(0, n_traj, block):
         records += _lockstep(prop, gen, sampler, seed,
-                             range(start, min(start + LANES, n_traj)),
+                             range(start, min(start + block, n_traj)),
                              grid, max_jumps, sums)
     mean_states = sums[0] / n_traj
     mean_pop = np.real(np.einsum("kii->ki", mean_states))
@@ -280,7 +278,7 @@ def run_trajectories(gen: Generator, rho0: np.ndarray, n_traj: int,
     counts = np.bincount(bins[bins < widths.size], minlength=widths.size)
     rate, rate_err = (counts / (n_traj * widths),
                       np.sqrt(np.maximum(counts, 1.0)) / (n_traj * widths))
-    if n_grid == 1:
+    if grid.size == 1:
         rate, rate_err = np.zeros(1), np.zeros(1)
     return JumpEnsemble(times=grid, mean_states=mean_states,
                         population_stderr=stderr, emission_rate=rate,
