@@ -118,13 +118,12 @@ def _coerce(key: str, raw: str):
     kind, _ = _SCHEMA[key]
     raw = raw.strip()
     try:
-        if kind is float:
-            return float(raw)
-        if kind is int:
-            return int(raw)
+        value = kind(raw)
     except ValueError:
         raise ConfigError(f"value for '{key}' is not a number: {raw!r}") from None
-    return raw
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"value for '{key}' is not finite: {raw!r}")
+    return value
 
 
 def parse_config(text: str) -> ScenarioConfig:

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import geometry
 from .errors import DomainError, SteadyStateError, ValidationError
@@ -27,6 +26,25 @@ _EXCHANGE = S1P @ S2M + S2P @ S1M
 _LOWERING = np.array([S1M, S2M])
 _LADDER = np.array([S1M, S2M, S1P, S2P])
 _EYE = np.eye(4)
+
+# Pade degrees m with the largest 1-norm theta_m at which the [m/m]
+# approximant of exp is accurate to double precision, and the
+# approximant's coefficients b_0..b_m (Higham, SIAM J. Matrix Anal. Appl.
+# 26, 1179 (2005), Table 2.3 and eq. (2.6))
+_PADE = (
+    (1.495585217958292e-2, (120., 60., 12., 1.)),
+    (2.539398330063230e-1, (30240., 15120., 3360., 420., 30., 1.)),
+    (9.504178996162932e-1, (17297280., 8648640., 1995840., 277200., 25200.,
+                            1512., 56., 1.)),
+    (2.097847961257068e0, (17643225600., 8821612800., 2075673600.,
+                           302702400., 30270240., 2162160., 110880., 3960.,
+                           90., 1.)),
+    (5.371920351148152e0, (64764752532480000., 32382376266240000.,
+                           7771770303897600., 1187353796428800.,
+                           129060195264000., 10559470521600., 670442572800.,
+                           33522128640., 1323241920., 40840800., 960960.,
+                           16380., 182., 1.)),
+)
 
 
 @dataclass(frozen=True)
@@ -87,6 +105,35 @@ def _channels(kossakowski: np.ndarray, ops) -> tuple:
     rates, vecs = np.linalg.eigh(kossakowski)
     combos = np.einsum("bk,bij->kij", vecs.conj(), ops)
     return tuple((max(float(rate), 0.0), op) for rate, op in zip(rates, combos))
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of every matrix in a (k, n, n) stack, by scaling and squaring.
+
+    The Pade degree is the lowest whose theta covers the stack's largest
+    1-norm; beyond theta_13 each matrix is scaled by its own power of two
+    and squared back as often.  Non-finite input gives a NaN stack.
+    """
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    if not np.isfinite(norms).all():
+        return np.full(a.shape, np.nan, dtype=complex)
+    theta, b = next(((t, b) for t, b in _PADE if norms.max() <= t), _PADE[-1])
+    b = [c / b[0] for c in b]  # b_0 = 1, so that exp(0) is exactly I
+    squarings = np.ceil(np.log2(np.maximum(norms / theta, 1.0))).astype(int)
+    a = a * 0.5 ** squarings[:, None, None]
+    # p(A) = V + U and p(-A) = V - U, V even and U odd in A
+    a2 = a @ a
+    powers = [np.eye(a.shape[-1]), a2]
+    while len(powers) < len(b) // 2:
+        powers.append(powers[-1] @ a2)
+    u = a @ sum(c * p for c, p in zip(b[1::2], powers))
+    v = sum(c * p for c, p in zip(b[::2], powers))
+    r = np.linalg.solve(v - u, v + u)
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN is checked later
+        for k in range(squarings.max(initial=0)):
+            more = squarings > k
+            r[more] = r[more] @ r[more]
+    return r
 
 
 def _pair_shift(pair: geometry.AtomPairConfig) -> float:
@@ -225,7 +272,7 @@ def evolve(gen: Generator, rho0: np.ndarray,
     if grid[0] < 0:
         raise ValidationError("grid times must be nonnegative")
     steps, which = np.unique(np.diff(grid, prepend=0.0), return_inverse=True)
-    propagators = expm(gen.matrix * steps[:, None, None])
+    propagators = _expm(gen.matrix * steps[:, None, None])
     y = vec(validate_density_matrix(rho0))
     vecs = np.empty((grid.size, 16), dtype=complex)
     for k, j in enumerate(which):

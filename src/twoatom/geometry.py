@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, ValidationError
 
@@ -142,15 +141,6 @@ def dipole_dipole_shift(pair: AtomPairConfig) -> float:
     return math.sqrt(pair.gamma1 * pair.gamma2) * shift_profile(x, pair.mu_dot_r)
 
 
-def quasistatic_shift(pair: AtomPairConfig) -> float:
-    """Near-field r^-3 limit of the dipole-dipole coupling."""
-    if pair.separation == 0:
-        raise DomainError("quasistatic shift diverges at zero separation")
-    x = 2 * math.pi * pair.separation
-    _, b = _angular_factors(pair.mu_dot_r)
-    return 0.75 * math.sqrt(pair.gamma1 * pair.gamma2) * b / x ** 3
-
-
 def rabi_at_atoms(drive: DriveField, pair: AtomPairConfig) -> tuple[complex, complex]:
     """Position-resolved complex Rabi frequencies (Omega1, Omega2).
 
@@ -197,55 +187,3 @@ def classify_squeezing(n: float, m_magnitude: float) -> str:
     if m_magnitude <= n:
         return "classical"
     return "quantum"
-
-
-def gaussian_matching(spot_size: float, focal_angle: float,
-                      focal_offset: float = 0.0) -> float:
-    """|D|^2 for a Gaussian squeezed input of waist parameter spot_size
-    focused at focal_offset and propagated at focal_angle.
-
-    The focal offset only contributes a phase, so the modulus returned
-    here does not depend on it.
-    """
-    del focal_offset
-    return math.exp(-2.0 * spot_size * math.sin(focal_angle) ** 2)
-
-
-def separation_for_damping(target_ratio: float, pair_like: AtomPairConfig | None = None,
-                           bracket: tuple[float, float] = (1e-4, 0.4399)) -> float:
-    """Separation at which Gamma12/sqrt(gamma1*gamma2) equals target_ratio.
-
-    Searches the first monotonically decreasing branch of the damping
-    profile by default; target_ratio = 1 maps to zero separation.
-    """
-    mu_dot_r = pair_like.mu_dot_r if pair_like is not None else 0.0
-    if target_ratio >= 1.0:
-        return 0.0
-    f = lambda s: damping_profile(2 * math.pi * s, mu_dot_r) - target_ratio
-    lo, hi = bracket
-    if f(lo) < 0:
-        raise DomainError("target damping ratio not reachable in bracket")
-    while f(hi) > 0:
-        hi *= 1.5
-        if hi > 50:
-            raise DomainError("target damping ratio not reachable")
-    return brentq(f, lo, hi, xtol=1e-14)
-
-
-def separation_for_shift(target_shift: float, pair_like: AtomPairConfig | None = None,
-                         bracket: tuple[float, float] = (1e-4, 0.25)) -> float:
-    """Separation at which |Omega12| equals |target_shift| on the near branch."""
-    mu_dot_r = pair_like.mu_dot_r if pair_like is not None else 0.0
-    scale = 1.0
-    if pair_like is not None:
-        scale = math.sqrt(pair_like.gamma1 * pair_like.gamma2)
-    goal = abs(target_shift) / scale
-    f = lambda s: abs(shift_profile(2 * math.pi * s, mu_dot_r)) - goal
-    lo, hi = bracket
-    if f(lo) < 0:
-        raise DomainError("target shift too large for bracket")
-    while f(hi) > 0:
-        hi *= 1.25
-        if hi > 10:
-            raise DomainError("target shift not reachable")
-    return brentq(f, lo, hi, xtol=1e-14)

@@ -37,7 +37,8 @@ class DetectionGeometry:
 
     def __post_init__(self):
         for angle in (self.theta1, self.theta2, self.phi):
-            if angle is not None and not 0 <= angle <= math.pi:
+            if angle is not None and not np.all((angle >= 0)
+                                                & (angle <= math.pi)):
                 raise ValidationError("detection angles must lie in [0, pi]")
 
     @property
@@ -89,22 +90,24 @@ def total_intensity(rho: np.ndarray, pair) -> float | np.ndarray:
 
 
 def angular_intensity(rho: np.ndarray, pair: geometry.AtomPairConfig,
-                      geom: DetectionGeometry) -> float:
+                      geom: DetectionGeometry) -> float | np.ndarray:
     """Intensity per solid angle at detection angle theta1.
 
     Uses the sin^2 dipole pattern through geom.phi and the interference
-    phase k0 r12 cos(theta1) between the two emission paths.
+    phase k0 r12 cos(theta1) between the two emission paths.  theta1 and
+    phi may be arrays, which broadcast against each other; the state is
+    validated once.
     """
     rho = validate_density_matrix(rho)
-    pattern = math.sin(geom.phi) ** 2
-    phase = 2 * math.pi * pair.separation * math.cos(geom.theta1)
+    pattern = np.sin(geom.phi) ** 2
+    phase = 2 * math.pi * pair.separation * np.cos(geom.theta1)
     gm = geometry.damping_matrix(pair)
     amp = expect(S1P @ S1M, rho).real * gm[0, 0] \
         + expect(S2P @ S2M, rho).real * gm[1, 1] \
         + 2 * (math.sqrt(pair.gamma1 * pair.gamma2)
                * (expect(S1P @ S2M, rho) * np.exp(1j * phase)).real)
     value = 3.0 / (8.0 * math.pi) * pattern * amp
-    return max(value, 0.0) if abs(value) < 1e-14 else value
+    return _value(np.where(abs(value) < 1e-14, np.maximum(value, 0.0), value))
 
 
 def g2_zero(rho: np.ndarray, pair: geometry.AtomPairConfig,

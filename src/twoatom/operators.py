@@ -49,26 +49,6 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(4, 4, order="F")
 
 
-def spre_spost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Superoperator for rho -> a rho b under column stacking."""
-    return np.kron(b.T, a)
-
-
-def dissipator(rate: float, op: np.ndarray) -> np.ndarray:
-    """Lindblad dissipator rate*(L rho L^+ - (L^+ L rho + rho L^+ L)/2)."""
-    op = np.asarray(op, dtype=complex)
-    ldl = op.conj().T @ op
-    return rate * (spre_spost(op, op.conj().T)
-                   - 0.5 * spre_spost(ldl, I4)
-                   - 0.5 * spre_spost(I4, ldl))
-
-
-def hamiltonian_superop(h: np.ndarray) -> np.ndarray:
-    """Superoperator for the coherent part -i[H, rho]."""
-    h = np.asarray(h, dtype=complex)
-    return -1j * (spre_spost(h, I4) - spre_spost(I4, h))
-
-
 def ket_density(psi: np.ndarray) -> np.ndarray:
     """|psi><psi| for a (not necessarily normalized) 4-vector."""
     psi = np.asarray(psi, dtype=complex)

@@ -21,12 +21,16 @@ def validate_density_matrix(rho: np.ndarray,
     if rho.shape[-2:] != (4, 4):
         raise ValidationError(f"state must be 4x4, got {rho.shape}")
     adjoint = rho.conj().swapaxes(-1, -2)
+    # written as "not dev <= tol" so that NaN fails: an infinite entry
+    # turns into NaN (or inf) in rho - rho^+
     herm = np.abs(rho - adjoint).max()
-    if herm > hermiticity_tol:
+    if not herm <= hermiticity_tol:
+        if not np.isfinite(rho).all():
+            raise ValidationError("state has non-finite entries")
         raise ValidationError(f"state is not Hermitian: deviation {herm:.2e}")
     tr = rho.diagonal(0, -2, -1).sum(-1)
     dev = abs(tr - 1.0)
-    if dev.max() > trace_tol:
+    if not dev.max() <= trace_tol:
         worst = np.ravel(tr)[dev.argmax()]
         raise ValidationError(f"state trace is {worst:.12g}, expected 1")
     eig_min = np.linalg.eigvalsh(0.5 * (rho + adjoint)).min()

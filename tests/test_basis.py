@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from conftest import random_density_matrix
 from twoatom import basis, geometry
 from twoatom.errors import ValidationError
@@ -29,7 +30,7 @@ class TestBuildBasis:
 
     def test_intermediate_splitting(self):
         # separation tuned so the coherent coupling is exactly 3
-        s = geometry.separation_for_shift(3.0)
+        s = oracles.separation_for_shift(3.0)
         b = basis.build_basis(pair(s, delta=4.0))
         assert b.w == pytest.approx(5.0, abs=1e-10)
         assert b.energies[1] == pytest.approx(+b.w)
@@ -77,7 +78,7 @@ class TestSuperpositionRates:
         # gamma1=1, gamma2=4, Gamma12=1 under the decay-weighted choice;
         # hand evaluation of the damping matrix (the published closed form
         # quotes exactly half these values, see the decisions ledger)
-        s = geometry.separation_for_damping(0.5)
+        s = oracles.separation_for_damping(0.5)
         p = pair(s, gamma2=4.0)  # sqrt(g1 g2) F = 2 * 0.5 = 1
         assert geometry.collective_damping(p) == pytest.approx(1.0, abs=1e-10)
         coeffs = basis.decay_weighted_coeffs(p)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from twoatom import analytic, geometry
 from twoatom.cli import main
 from twoatom.config import parse_config, serialize_config
@@ -60,6 +61,13 @@ class TestConfigParsing:
         cfg = parse_config("\n# comment\nscenario = steady  # trailing\n")
         assert cfg["scenario"] == "steady"
 
+    @pytest.mark.parametrize("key", ["rabi", "separation", "n_photons",
+                                     "grid_stop", "rtol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_named(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}' is not finite"):
+            parse_config(f"scenario = steady\n{key} = {value}\n")
+
 
 class TestRunScenario:
     def test_steady_matches_closed_form(self):
@@ -105,7 +113,7 @@ class TestRunScenario:
         # antisymmetric-state population peaks where the detuning matches
         # the level shift of the antisymmetric state (weak drive keeps the
         # line unshifted by power)
-        s = geometry.separation_for_shift(10.0)
+        s = oracles.separation_for_shift(10.0)
         cfg = parse_config(
             f"scenario = sweep\nseparation = {s}\ndelta = 1.0\n"
             "rabi = 1.0\nsweep_key = detuning\n"
@@ -318,6 +326,41 @@ class TestCliEntry:
         assert main(["run", str(cfg), "--out", str(out)]) == 0
         assert (tmp_path / "jump.csv.records.jsonl").exists()
         assert (tmp_path / "jump.csv.records.txt").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys,
+                                              command):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("scenario = steady\nseparation = 0.1\nrabi = nan\n")
+        assert main([command, str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "'rabi'" in err
+
+    def test_engine_runs_without_scipy(self):
+        # scipy is a test-only dependency: importing the package and
+        # running every kind of scenario through it must not load it
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import twoatom
+        script = (
+            "import sys\n"
+            "import twoatom, twoatom.cli, twoatom.figures, twoatom.runner\n"
+            "from twoatom.config import parse_config\n"
+            "for kind in ('steady', 'evolve', 'g2', 'sweep', 'jump'):\n"
+            "    cfg = parse_config(f'scenario = {kind}\\nseparation = 0.2\\n'\n"
+            "                       'rabi = 1.0\\ngrid_stop = 1\\n'\n"
+            "                       'grid_points = 5\\nn_traj = 4\\n')\n"
+            "    twoatom.runner.run_scenario(cfg).to_csv()\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(twoatom.__file__).resolve().parents[1]))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         # an exhausted jump budget surfaces as a numerical error

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import oracles
 from conftest import random_density_matrix, random_hermitian, random_pair
+from oracles import dissipator, hamiltonian_superop
 from twoatom import analytic, basis, dynamics, geometry, observables
 from twoatom.errors import DomainError, SteadyStateError, ValidationError
-from twoatom.operators import (KET_A, KET_EG, S1M, S1P, S2M, SM, SP,
-                               dissipator, expect, hamiltonian_superop,
+from twoatom.operators import (KET_A, KET_EG, S1M, S1P, S2M, SM, SP, expect,
                                ket_density, unvec, vec)
 from twoatom.validation import validate_density_matrix
 
@@ -110,7 +111,7 @@ class TestSqueezed:
     def test_finite_separation_matches_closed_form(self):
         n, a = 0.5, 0.7
         m = math.sqrt(n * (n + 1))
-        p = pair(geometry.separation_for_damping(a))
+        p = pair(oracles.separation_for_damping(a))
         res = geometry.SqueezedReservoir(n_photons=n, m_magnitude=m,
                                          squeeze_phase=0.9)
         gen = dynamics.build_squeezed(p, res)
@@ -127,7 +128,7 @@ class TestSqueezed:
     def test_secular_nonidentical_matches_closed_form(self):
         n, a = 0.5, 0.5
         m = math.sqrt(n * (n + 1))
-        p = pair(geometry.separation_for_damping(a), delta=25.0)
+        p = pair(oracles.separation_for_damping(a), delta=25.0)
         res = geometry.SqueezedReservoir(n_photons=n, m_magnitude=m)
         gen = dynamics.build_squeezed(p, res)
         assert gen.meta["secular"]
@@ -461,3 +462,13 @@ class TestStateValidation:
         stack[2] = np.diag([1.2, -0.2, 0.0, 0.0])
         with pytest.raises(ValidationError, match="negative eigenvalue"):
             validate_density_matrix(stack)
+
+    def test_non_finite_states_rejected(self, rng):
+        stack = np.stack([random_density_matrix(rng) for _ in range(3)])
+        stack[1, 0, 0] = np.nan
+        stack[2, 2, 2] = np.inf
+        for bad in (stack, stack[1], stack[2]):
+            # inf - inf in rho - rho^+ is NaN, which numpy reports
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(ValidationError, match="non-finite entries"):
+                validate_density_matrix(bad)

@@ -15,11 +15,11 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
+from oracles import dissipator, hamiltonian_superop
 from twoatom import dynamics, geometry, jumps
 from twoatom.errors import ValidationError
 from twoatom.figures import _small_sample_generator
-from twoatom.operators import (I4, dissipator, hamiltonian_superop, unvec,
-                               vec)
+from twoatom.operators import I4, unvec, vec
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
@@ -189,3 +189,45 @@ class TestJumpTimeSolver:
             # moves by less than two ulps (wide where P plateaus)
             blind = 2 * np.spacing(x) / prop.waiting_density(ket, ref)
             assert abs(t - ref) <= 1e-11 + blind
+
+
+# separations down to 1e-4, where Omega12 ~ r^-3 reaches about 3e9
+near_contact = st.floats(1e-4, 1e-2).map(
+    lambda s: geometry.AtomPairConfig(separation=s))
+stiff_models = st.one_of(
+    st.builds(dynamics.build_vacuum_drive, near_contact, drives),
+    st.builds(lambda pair, case: dynamics.build_squeezed(pair, case[1]),
+              near_contact, squeezed_cases()))
+
+
+def check_expm(gen: dynamics.Generator, targets: list) -> None:
+    # steps h scaled so that ||L h||_1 takes the drawn values; all of them
+    # are exponentiated as one stack, as evolve does
+    lmat = gen.matrix
+    norm = np.abs(lmat).sum(axis=0).max()
+    assume(norm > 0)
+    stack = lmat * (np.array(targets) / norm)[:, None, None]
+    got = dynamics._expm(stack)
+    for a, mine in zip(stack, got):
+        scale = max(1.0, np.abs(a).sum(axis=0).max())
+        assert np.abs(mine - expm(a)).max() <= 1e-13 * scale
+
+
+class TestMatrixExponential:
+    @PROPERTY
+    @given(models, st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=14))
+    def test_mild_steps_match_scipy(self, gen, targets):
+        check_expm(gen, targets)
+
+    @PROPERTY
+    @given(st.one_of(models, stiff_models),
+           st.lists(st.floats(0.0, 9.0).map(lambda e: 10.0 ** e),
+                    min_size=1, max_size=14))
+    def test_stiff_steps_match_scipy(self, gen, targets):
+        check_expm(gen, targets)
+
+    def test_zero_step_is_identity(self):
+        gen = dynamics.build_vacuum_drive(geometry.AtomPairConfig(0.01),
+                                          geometry.DriveField(rabi=2.0))
+        stack = gen.matrix * np.array([0.0, 1.0])[:, None, None]
+        assert np.array_equal(dynamics._expm(stack)[0], np.eye(16))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from conftest import random_density_matrix, random_pair
 from twoatom import analytic, basis, dynamics, geometry, observables
 from twoatom.errors import (DomainError, UndefinedValueError, ValidationError,
@@ -80,6 +81,23 @@ class TestAngularIntensity:
                 phi=float(rng.uniform(0, math.pi)))
             assert observables.angular_intensity(rho, p, geom) >= -1e-12
 
+    def test_array_angles_match_scalar_calls(self, rng):
+        p = pair(0.37)
+        rho = random_density_matrix(rng)
+        thetas = rng.uniform(0, math.pi, (3, 1))
+        phis = rng.uniform(0, math.pi, 4)
+        grid = observables.angular_intensity(
+            rho, p, observables.DetectionGeometry(theta1=thetas, phi=phis))
+        assert grid.shape == (3, 4)
+        for (i, j), value in np.ndenumerate(grid):
+            one = observables.angular_intensity(
+                rho, p, observables.DetectionGeometry(
+                    theta1=float(thetas[i, 0]), phi=float(phis[j])))
+            assert isinstance(one, float)
+            assert value == pytest.approx(one, abs=1e-15)
+        with pytest.raises(ValidationError):
+            observables.DetectionGeometry(theta1=np.array([0.5, 4.0]))
+
     def test_solid_angle_integral_is_total_intensity(self, rng):
         # quadrature over the sphere with the exact dipole pattern
         for _ in range(5):
@@ -89,20 +107,17 @@ class TestAngularIntensity:
             phis = np.linspace(0, 2 * math.pi, 241)[:-1]
             mu_hat = np.array([math.cos(p.dipole_angle), 0.0,
                                math.sin(p.dipole_angle)])
-            total = 0.0
-            for c, w in zip(nodes, weights):
-                sin_t = math.sqrt(1 - c * c)
-                khats = np.column_stack([np.full_like(phis, c),
-                                         sin_t * np.cos(phis),
-                                         sin_t * np.sin(phis)])
-                # theta1 is the angle to the interatomic (x) axis, phi
-                # the angle between k and the dipole
-                dipole = np.arccos(np.clip(khats @ mu_hat, -1.0, 1.0))
-                vals = [observables.angular_intensity(
-                            rho, p, observables.DetectionGeometry(
-                                theta1=math.acos(c), phi=float(phi)))
-                        for phi in dipole]
-                total += w * np.mean(vals) * 2 * math.pi
+            c = nodes[:, None]
+            sin_t = np.sqrt(1 - c * c)
+            khats = np.stack(np.broadcast_arrays(
+                c, sin_t * np.cos(phis), sin_t * np.sin(phis)), axis=-1)
+            # theta1 is the angle to the interatomic (x) axis, phi the
+            # angle between k and the dipole
+            dipole = np.arccos(np.clip(khats @ mu_hat, -1.0, 1.0))
+            vals = observables.angular_intensity(
+                rho, p, observables.DetectionGeometry(
+                    theta1=np.arccos(c), phi=dipole))
+            total = (weights * vals.mean(axis=1)).sum() * 2 * math.pi
             assert total == pytest.approx(
                 observables.total_intensity(rho, p), abs=1e-6)
 
@@ -271,7 +286,7 @@ class TestQuadratureVariance:
         # (rabi^2/4 omega12)(2 detuning cos2a + gamma sin2a)/(gamma^2 +
         # 4 detuning^2); the quoted leading-order profile shares its shape
         # with coefficient slips recorded in the decisions ledger.
-        s = geometry.separation_for_shift(3000.0)
+        s = oracles.separation_for_shift(3000.0)
         p = pair(s)
         omega12 = geometry.dipole_dipole_shift(p)
         detunings = np.linspace(-2, 2, 9)
@@ -460,7 +475,7 @@ class TestSqueezedVisibilityGrid:
         for n in (0.05, 0.5, 5.0):
             for a in (0.3, 0.7, 0.99):
                 m = math.sqrt(n * (n + 1))
-                p = pair(geometry.separation_for_damping(a))
+                p = pair(oracles.separation_for_damping(a))
                 res = geometry.SqueezedReservoir(n_photons=n, m_magnitude=m)
                 gen = dynamics.build_squeezed(p, res)
                 rho, _ = dynamics.steady_state(gen)
