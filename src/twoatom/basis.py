@@ -13,6 +13,7 @@ import numpy as np
 
 from . import geometry
 from .errors import ValidationError
+from .geometry import _value
 from .operators import DICKE_BASIS, KET_EE, KET_EG, KET_GE, KET_GG
 from .validation import validate_density_matrix
 
@@ -49,20 +50,20 @@ class SuperpositionCoeffs:
 
 
 def build_basis(pair: geometry.AtomPairConfig) -> CollectiveBasis:
-    """Diagonalize the one-excitation block for the given pair.
+    """Diagonalize the one-excitation block for the given pair; a stacked
+    pair gives arrays alpha, beta and w (``matrix`` takes one point).
 
     Identical atoms give alpha = beta = 1/sqrt(2); a large splitting pushes
     the eigenstates back to the bare product states.
     """
     omega12 = geometry.dipole_dipole_shift(pair)
-    w = float(np.hypot(omega12, pair.delta))
+    w = _value(np.hypot(omega12, pair.delta))
     d = pair.delta + w
-    norm = float(np.hypot(d, omega12))
-    if norm == 0.0:
-        alpha, beta = 1.0, 0.0
-    else:
-        alpha, beta = d / norm, omega12 / norm
-    return CollectiveBasis(alpha=alpha, beta=beta, w=w,
+    norm = np.hypot(d, omega12)
+    bare = norm == 0.0  # uncoupled, delta <= 0: the product states
+    norm = np.where(bare, 1.0, norm)
+    return CollectiveBasis(alpha=_value(np.where(bare, 1.0, d / norm)),
+                           beta=_value(omega12 / norm), w=w,
                            energies=(0.0, +w, -w, 0.0))
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .config import parse_config
 from .errors import ConfigError, DomainError, TwoAtomError, ValidationError
-from .figures import available_figures, figure_preset
+from .figures import figure_preset
 from .runner import run_scenario
 
 EXIT_OK = 0
@@ -65,15 +65,8 @@ def main(argv=None) -> int:
         if args.command == "run":
             cfg = parse_config(args.config.read_text())
         else:  # figure
-            if args.id not in available_figures():
-                raise ConfigError(
-                    f"unknown figure '{args.id}'; available: "
-                    f"{', '.join(available_figures())}")
             cfg = figure_preset(args.id)
-    except FileNotFoundError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ConfigError, ValidationError) as exc:
+    except (FileNotFoundError, ConfigError, ValidationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

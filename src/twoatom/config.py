@@ -6,7 +6,9 @@ default, so a serialized configuration always records the complete
 parameter set that produced a result.
 """
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 from . import geometry
 from .errors import ConfigError
@@ -89,27 +91,21 @@ class ScenarioConfig:
     def get(self, key, default=None):
         return self.values.get(key, default)
 
+    def _build(self, cls, **keys):
+        """cls with each field read from the key of its name, or as renamed"""
+        return cls(**{f.name: self[keys.get(f.name, f.name)]
+                      for f in fields(cls)})
+
     def pair(self) -> geometry.AtomPairConfig:
-        return geometry.AtomPairConfig(
-            separation=self["separation"], gamma1=self["gamma1"],
-            gamma2=self["gamma2"], delta=self["delta"],
-            dipole_angle=self["dipole_angle"])
+        return self._build(geometry.AtomPairConfig)
 
     def drive(self) -> geometry.DriveField:
-        return geometry.DriveField(
-            rabi=self["rabi"], detuning=self["detuning"],
-            propagation_angle=self["propagation_angle"],
-            wave_type=self["wave_type"], phase=self["drive_phase"])
+        return self._build(geometry.DriveField, phase="drive_phase")
 
     def reservoir(self) -> geometry.SqueezedReservoir:
-        return geometry.SqueezedReservoir(
-            n_photons=self["n_photons"], m_magnitude=self["m_magnitude"],
-            squeeze_phase=self["squeeze_phase"], matching=self["matching"],
-            solid_angle=self["solid_angle"],
-            carrier_offset=self["carrier_offset"])
+        return self._build(geometry.SqueezedReservoir)
 
     def grid(self):
-        import numpy as np
         return np.linspace(self["grid_start"], self["grid_stop"],
                            self["grid_points"])
 

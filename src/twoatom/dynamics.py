@@ -1,15 +1,17 @@
 """Lindblad models of the two-atom reservoirs and their solvers.
 
 Each reservoir is described once, by a Hamiltonian and a set of decay
-channels (rate, operator).  The 16x16 generator acting on column-stacked
-density matrices in the product basis, the no-jump Hamiltonian and the
-reset map of the quantum-jump unraveling all follow from that model.
-Every model lives in a rotating frame that makes it time independent
-(laser frame for driven scenarios, squeezing carrier frame for squeezed
-ones, each atom's own frame for the secular nonidentical squeezed case).
+channels (rates and operators).  The 16x16 generator acting on
+column-stacked density matrices in the product basis, the no-jump
+Hamiltonian and the reset map of the quantum-jump unraveling all follow
+from that model, which carries a scan of stacked parameters as leading
+axes of its arrays.  Every model lives in a rotating frame that makes it
+time independent (laser frame for driven scenarios, squeezing carrier
+frame for squeezed ones, each atom's own frame for the secular
+nonidentical squeezed case).
 """
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -49,40 +51,61 @@ _PADE = (
 
 @dataclass(frozen=True)
 class Generator:
-    """Lindblad model rho_dot = -i[h, rho] + sum_k rate_k D[op_k] rho.
+    """Lindblad model rho_dot = -i[h, rho] + sum_k rates_k D[ops_k] rho.
 
-    ``channels`` is a tuple of (rate, op) pairs with nonnegative rates.
+    ``h`` is (..., 4, 4), ``rates`` (..., c) and nonnegative, ``ops``
+    (..., c, 4, 4), any leading axes a scan, broadcast on construction.
     The no-jump Hamiltonian ``conditional_hamiltonian``, h - (i/2) sum_k
-    rate_k op_k^+ op_k, and the 16x16 generator ``matrix`` are derived
-    once on construction.
+    rates_k ops_k^+ ops_k, is derived then, the 16x16 ``matrix`` on use.
     """
     h: np.ndarray
-    channels: tuple
+    rates: np.ndarray
+    ops: np.ndarray
     scenario: str
     meta: dict = field(default_factory=dict)
     conditional_hamiltonian: np.ndarray = field(init=False, repr=False)
-    matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        rates = np.array([rate for rate, _ in self.channels], dtype=float)
-        ops = np.array([op for _, op in self.channels],
-                       dtype=complex).reshape(-1, 4, 4)
-        hc = self.h - 0.5j * np.einsum("c,cji,cjk->ik", rates, ops.conj(), ops)
-        # L = -i (I (x) Hc) + i (Hc* (x) I) + sum_k rate_k (op_k* (x) op_k),
-        # each Kronecker product broadcast as [4i + k, 4j + l] <- [i, k, j, l]
-        l = np.einsum("c,cij,ckl->ikjl", rates, ops.conj(), ops)
-        l += 1j * (hc.conj()[:, None, :, None] * _EYE[None, :, None, :]
-                   - _EYE[:, None, :, None] * hc[None, :, None, :])
-        object.__setattr__(self, "conditional_hamiltonian", hc)
-        object.__setattr__(self, "matrix", l.reshape(16, 16))
+        h, rates, ops = (np.asarray(self.h, dtype=complex),
+                         np.asarray(self.rates, dtype=float),
+                         np.asarray(self.ops, dtype=complex))
+        shape = np.broadcast_shapes(h.shape[:-2], rates.shape[:-1],
+                                    ops.shape[:-3])
+        for name, value, core in (("h", h, 2), ("rates", rates, 1),
+                                  ("ops", ops, 3)):
+            object.__setattr__(self, name, np.broadcast_to(
+                value, shape + value.shape[value.ndim - core:]))
+        object.__setattr__(self, "conditional_hamiltonian", self.h - 0.5j
+                           * np.einsum("...c,...cji,...cjk->...ik",
+                                       self.rates, self.ops.conj(), self.ops))
+
+    @property
+    def shape(self) -> tuple:
+        """The scan axes; () for a single model."""
+        return self.h.shape[:-2]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _liouvillian(self.conditional_hamiltonian, self.rates, self.ops)
 
     def reset(self, rho: np.ndarray) -> tuple[np.ndarray, float]:
         """Unnormalized post-jump state sum_k rate_k op_k rho op_k^+ and
         its trace, the jump (for vacuum reservoirs: emission) rate."""
         rho = validate_density_matrix(rho)
-        out = sum((rate * op @ rho @ op.conj().T for rate, op in self.channels),
-                  np.zeros((4, 4), dtype=complex))
+        out = np.einsum("c,cij,jk,clk->il", self.rates, self.ops, rho,
+                        self.ops.conj())
         return out, float(np.trace(out).real)
+
+
+def _liouvillian(hc: np.ndarray, rates: np.ndarray,
+                 ops: np.ndarray) -> np.ndarray:
+    """(..., 16, 16) generators L = -i (I (x) Hc) + i (Hc* (x) I) + sum_k
+    rate_k (op_k* (x) op_k), each Kronecker product broadcast as
+    [4i + k, 4j + l] <- [i, k, j, l]."""
+    l = np.einsum("...c,...cij,...ckl->...ikjl", rates, ops.conj(), ops)
+    l += 1j * (hc.conj()[..., :, None, :, None] * _EYE[:, None, :]
+               - _EYE[:, None, :, None] * hc[..., None, :, None, :])
+    return l.reshape(hc.shape[:-2] + (16, 16))
 
 
 @dataclass(frozen=True)
@@ -96,15 +119,17 @@ class EvolutionSeries:
             raise ValidationError("time grid must be strictly increasing")
 
 
-def _channels(kossakowski: np.ndarray, ops) -> tuple:
-    """Diagonal channels of sum_ab K_ab (A_b rho A_a^+ - {A_a^+ A_b, rho}/2).
+def _channels(kossakowski: np.ndarray, ops: np.ndarray):
+    """Diagonal channels of sum_ab K_ab (A_b rho A_a^+ - {A_a^+ A_b, rho}/2)
+    for a (..., m, m) stack of K, by one batched eigh.
 
-    With K = U diag(rates) U^+ the channels are (rate_k, sum_b conj(U_bk)
-    A_b), in eigh order; rates are clipped at zero and none is dropped.
+    With K = U diag(rates) U^+ the channels are rates_k and ops_k = sum_b
+    conj(U_bk) A_b, in eigh order; rates are clipped at zero and none is
+    dropped.
     """
     rates, vecs = np.linalg.eigh(kossakowski)
-    combos = np.einsum("bk,bij->kij", vecs.conj(), ops)
-    return tuple((max(float(rate), 0.0), op) for rate, op in zip(rates, combos))
+    return np.maximum(rates, 0.0), np.einsum("...bk,bij->...kij",
+                                             vecs.conj(), ops)
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -136,27 +161,36 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _pair_shift(pair: geometry.AtomPairConfig) -> float:
+def _scaled(x, op: np.ndarray) -> np.ndarray:
+    """x * op for every point of a scalar or stacked parameter x."""
+    return np.asarray(x)[..., None, None] * op
+
+
+def _pair_shift(pair: geometry.AtomPairConfig):
     # the Dicke idealization drops the quasistatic shift along with the
     # spatial phases; at finite separation the full expression is used
-    if pair.separation == 0:
-        return 0.0
-    return geometry.dipole_dipole_shift(pair)
+    contact = np.equal(pair.separation, 0)
+    shift = np.where(contact, 0.0, geometry.dipole_dipole_shift(replace(
+        pair, separation=np.where(contact, 1.0, pair.separation))))
+    if not np.isfinite(shift).all():  # Omega12 ~ r^-3 overflows first
+        smallest = np.min(np.where(contact, np.inf, pair.separation))
+        raise DomainError(f"dipole-dipole shift overflows at separation "
+                          f"{smallest:g}")
+    return shift
 
 
 def _vacuum(pair: geometry.AtomPairConfig, drive: geometry.DriveField,
-            omega12: float) -> Generator:
+            omega12) -> Generator:
     om1, om2 = geometry.rabi_at_atoms(drive, pair)
-    h = (-drive.detuning * SZ
-         + pair.delta * (S2Z - S1Z)
-         + omega12 * _EXCHANGE
-         - 0.5 * (om1 * S1P + np.conj(om1) * S1M
-                  + om2 * S2P + np.conj(om2) * S2M))
+    h = (_scaled(-drive.detuning, SZ) + _scaled(pair.delta, S2Z - S1Z)
+         + _scaled(omega12, _EXCHANGE)
+         - 0.5 * (_scaled(om1, S1P) + _scaled(np.conj(om1), S1M)
+                  + _scaled(om2, S2P) + _scaled(np.conj(om2), S2M)))
     gm = geometry.damping_matrix(pair)
-    return Generator(h=h, channels=_channels(gm, _LOWERING),
-                     scenario="vacuum_drive",
+    rates, ops = _channels(gm, _LOWERING)
+    return Generator(h=h, rates=rates, ops=ops, scenario="vacuum_drive",
                      meta={"pair": pair, "drive": drive,
-                           "gamma12": gm[0, 1], "omega12": omega12})
+                           "gamma12": gm[..., 0, 1], "omega12": omega12})
 
 
 def build_vacuum_drive(pair: geometry.AtomPairConfig,
@@ -184,32 +218,35 @@ def build_squeezed(pair: geometry.AtomPairConfig,
     cross damping average out (the same-type blocks keep the diagonal of
     G, the two-photon blocks its off-diagonal) and only the collective
     two-photon channel survives.  The secular condition is recorded in
-    the metadata, not enforced.
+    the metadata, not enforced.  Each point of a stack is secular or not
+    by its own delta.
     """
     n_eff, m_eff_mag = geometry.effective_squeezing(res)
-    if geometry.classify_squeezing(n_eff, m_eff_mag) == "invalid":
+    if np.any(geometry.beyond_two_photon_bound(n_eff, m_eff_mag)):
         raise ValidationError("reservoir violates the two-photon bound")
-    m_eff = m_eff_mag * np.exp(1j * res.squeeze_phase)
-    secular = pair.delta != 0.0
-    if secular and res.carrier_offset != 0.0:
+    m_eff = m_eff_mag * np.exp(1j * np.asarray(res.squeeze_phase))
+    secular = np.asarray(pair.delta) != 0.0
+    if np.any(secular & (np.asarray(res.carrier_offset) != 0.0)):
         raise ValidationError(
             "the secular nonidentical case requires the squeezing carrier "
             "midway between the transition frequencies (carrier_offset = 0)")
     gm = geometry.damping_matrix(pair)
-    same = np.diag(np.diag(gm)) if secular else gm
-    twin = gm - same if secular else gm
-    kossakowski = np.block([[(n_eff + 1.0) * same, -m_eff * twin],
-                            [-np.conj(m_eff) * twin, n_eff * same]])
-    if secular:
-        h = np.zeros((4, 4), dtype=complex)
-    else:
-        h = -res.carrier_offset * SZ + _pair_shift(pair) * _EXCHANGE
-    return Generator(h=h, channels=_channels(kossakowski, _LADDER),
-                     scenario="squeezed",
+    same = np.where(secular[..., None, None], gm * np.eye(2), gm)
+    twin = np.where(secular[..., None, None], gm - same, gm)
+    blocks = np.broadcast_arrays(_scaled(n_eff + 1.0, same),
+                                 _scaled(-m_eff, twin),
+                                 _scaled(-np.conj(m_eff), twin),
+                                 _scaled(n_eff, same))
+    kossakowski = np.block([[blocks[0], blocks[1]], [blocks[2], blocks[3]]])
+    h = np.where(secular[..., None, None], 0.0,
+                 _scaled(-res.carrier_offset, SZ)
+                 + _scaled(_pair_shift(pair), _EXCHANGE))
+    rates, ops = _channels(kossakowski, _LADDER)
+    return Generator(h=h, rates=rates, ops=ops, scenario="squeezed",
                      meta={"pair": pair, "reservoir": res,
                            "n_eff": n_eff, "m_eff": m_eff,
                            "secular": secular,
-                           "secular_condition": "|delta| >> gamma" if secular else None})
+                           "secular_condition": "|delta| >> gamma"})
 
 
 def _dressed_rotation() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -227,32 +264,32 @@ def build_dicke_dressed(drive: geometry.DriveField) -> Generator:
     along as a dark, conserved sector of the embedding 4-level space.
     """
     rz, rp, rm = _dressed_rotation()
-    return Generator(h=-drive.rabi * rz,
-                     channels=((1.0, rz), (0.25, rm), (0.25, rp)),
-                     scenario="dicke_dressed",
+    return Generator(h=_scaled(-drive.rabi, rz), rates=[1.0, 0.25, 0.25],
+                     ops=[rz, rm, rp], scenario="dicke_dressed",
                      meta={"drive": drive,
                            "validity": "rabi >> gamma (not enforced)"})
 
 
-def build_bad_cavity(pair: geometry.AtomPairConfig, g: float,
-                     gamma_c: float, omega_drive: float) -> Generator:
+def build_bad_cavity(pair: geometry.AtomPairConfig, g, gamma_c,
+                     omega_drive) -> Generator:
     """Distant atoms coupled through an overdamped cavity mode.
 
     After adiabatic elimination the cavity leaves an effective resonant
     drive g*omega_drive/gamma_c and a collective decay channel at
     g^2/gamma_c on top of ordinary single-atom emission.
     """
-    if gamma_c <= 0:
+    if np.any(np.asarray(gamma_c) <= 0):
         raise DomainError("cavity decay rate must be positive")
     eta = omega_drive / gamma_c
-    return Generator(h=-0.5 * g * eta * (SP + SM),
-                     channels=((pair.gamma1, S1M), (pair.gamma2, S2M),
-                               (g ** 2 / gamma_c, SM)),
-                     scenario="bad_cavity",
+    collective = g ** 2 / gamma_c
+    return Generator(h=_scaled(-0.5 * g * eta, SP + SM),
+                     rates=np.stack(np.broadcast_arrays(
+                         pair.gamma1, pair.gamma2, collective), axis=-1),
+                     ops=[S1M, S2M, SM], scenario="bad_cavity",
                      meta={"pair": pair, "g": g, "gamma_c": gamma_c,
                            "omega_drive": omega_drive,
                            "effective_rabi": g * eta,
-                           "collective_rate": g ** 2 / gamma_c,
+                           "collective_rate": collective,
                            "validity": "gamma_c >> g >> gamma (not enforced)"})
 
 
@@ -285,36 +322,41 @@ def evolve(gen: Generator, rho0: np.ndarray,
     return EvolutionSeries(times=grid, states=states)
 
 
-def steady_states(gens, reference: np.ndarray | None = None
+def steady_states(gen: Generator, reference: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Stationary states of a sequence of generators, as an (N, 4, 4)
-    stack plus the (N,) mask of degenerate kernels.
+    """Stationary states of every point of a (stacked) generator, as a
+    gen.shape + (4, 4) stack plus the gen.shape mask of degenerate kernels.
 
-    The generators are consumed STACK_CHUNK at a time, and each chunk is
-    factored by one batched SVD.  Each point's singular values are ranked
-    against its own total channel rate, the dissipative scale, not
-    against the largest one, which the coherent exchange Omega12 ~ r^-3
-    dominates at small separations.  A one-dimensional null space gives
-    the unique stationary state.  When the kernel is degenerate (the Dicke
-    pair conserves the total spin) the state is the infinite-time limit
-    reached from the ground state, or from the supplied reference state,
-    computed by spectral projection onto the kernel.
+    The 16x16 generators are assembled STACK_CHUNK points at a time, and
+    each chunk is factored by one batched SVD.  Each point's singular
+    values are ranked against its own total channel rate, the dissipative
+    scale, not against the largest one, which the coherent exchange
+    Omega12 ~ r^-3 dominates at small separations.  A one-dimensional null
+    space gives the unique stationary state.  When the kernel is
+    degenerate (the Dicke pair conserves the total spin) the state is the
+    infinite-time limit reached from the ground state, or from the
+    supplied reference state, computed by spectral projection onto the
+    kernel.
     """
     start = vec(np.diag([1.0, 0, 0, 0]) if reference is None else reference)
-    gens = iter(gens)
-    states, flags = [np.empty((0, 4, 4), dtype=complex)], [np.empty(0, bool)]
-    for chunk in iter(lambda: list(islice(gens, STACK_CHUNK)), []):
-        lmats = np.stack([gen.matrix for gen in chunk])
-        scales = np.array([sum(rate for rate, _ in gen.channels) or 1.0
-                           for gen in chunk])
+    hc = gen.conditional_hamiltonian.reshape(-1, 4, 4)
+    rates = gen.rates.reshape(hc.shape[0], -1)
+    ops = gen.ops.reshape(rates.shape + (4, 4))
+    scales = np.where(rates.any(axis=1), rates.sum(axis=1), 1.0)
+    states = np.empty(hc.shape, dtype=complex)
+    flags = np.empty(hc.shape[0], dtype=bool)
+    for first in range(0, hc.shape[0], STACK_CHUNK):
+        chunk = slice(first, first + STACK_CHUNK)
+        lmats = _liouvillian(hc[chunk], rates[chunk], ops[chunk])
         u, svals, vh = np.linalg.svd(lmats)
-        null = svals / scales[:, None] < NULLSPACE_RTOL
+        null = svals / scales[chunk, None] < NULLSPACE_RTOL
         dims = null.sum(axis=1)
         if not dims.all():
             k = int(np.argmin(dims))
             raise SteadyStateError(
                 f"no null vector found; smallest singular value is "
-                f"{svals[k, -1] / scales[k]:.2e} times the total channel rate")
+                f"{svals[k, -1] / scales[chunk][k]:.2e} times the total "
+                f"channel rate")
         vecs = vh[:, -1].conj()
         degenerate = dims > 1
         for k in np.flatnonzero(degenerate):
@@ -333,14 +375,13 @@ def steady_states(gens, reference: np.ndarray | None = None
         if residual > 1e-8:
             raise SteadyStateError(f"projected state is not stationary "
                                    f"(residual {residual:.2e})")
-        states.append(rho)
-        flags.append(degenerate)
-    return np.concatenate(states), np.concatenate(flags)
+        states[chunk], flags[chunk] = rho, degenerate
+    return states.reshape(gen.shape + (4, 4)), flags.reshape(gen.shape)
 
 
 def steady_state(gen: Generator, reference: np.ndarray | None = None
                  ) -> tuple[np.ndarray, bool]:
     """Solve L rho = 0 with unit trace: the one-point call of
     :func:`steady_states`, returning the state and its degeneracy flag."""
-    states, degenerate = steady_states([gen], reference)
-    return states[0], bool(degenerate[0])
+    state, degenerate = steady_states(gen, reference)
+    return state, bool(degenerate)

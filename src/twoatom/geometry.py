@@ -4,13 +4,28 @@ Units: all rates and frequencies in units of the first atom's decay rate
 (gamma1 = 1 by convention), distances in units of the resonant wavelength,
 so k0*r12 = 2*pi*separation.  Atom positions are fixed on the x axis at
 -r12/2 and +r12/2.
+Numeric fields may be arrays, one object then describing a whole scan:
+checks apply to every point, and the couplings broadcast over the fields.
 """
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
+
+
+def _require(ok, message: str) -> None:
+    """Raise ValidationError unless ``ok`` holds at every point (NaN fails)."""
+    if not (ok is True or np.asarray(ok).all()):
+        raise ValidationError(message)
+
+
+def _value(x):
+    """A Python number for one point, the array itself for a stack."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
 
 
 @dataclass(frozen=True)
@@ -29,20 +44,17 @@ class AtomPairConfig:
     dipole_angle: float = math.pi / 2
 
     def __post_init__(self):
-        if self.gamma1 <= 0 or self.gamma2 <= 0:
-            raise ValidationError("decay rates must be positive")
-        if self.separation < 0:
-            raise ValidationError("separation must satisfy separation >= 0")
-        if not 0 <= self.dipole_angle <= math.pi / 2 + 1e-12:
-            raise ValidationError("dipole_angle must lie in [0, pi/2]")
+        _require((self.gamma1 > 0) & (self.gamma2 > 0),
+                 "decay rates must be positive")
+        _require(self.separation >= 0,
+                 "separation must satisfy separation >= 0")
+        _require((self.dipole_angle >= 0)
+                 & (self.dipole_angle <= math.pi / 2 + 1e-12),
+                 "dipole_angle must lie in [0, pi/2]")
 
     @property
-    def mu_dot_r(self) -> float:
-        return math.cos(self.dipole_angle)
-
-    @property
-    def identical(self) -> bool:
-        return self.delta == 0.0 and self.gamma1 == self.gamma2
+    def mu_dot_r(self):
+        return np.cos(self.dipole_angle)
 
 
 @dataclass(frozen=True)
@@ -62,8 +74,7 @@ class DriveField:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.rabi < 0:
-            raise ValidationError("rabi must satisfy rabi >= 0")
+        _require(self.rabi >= 0, "rabi must satisfy rabi >= 0")
         if self.wave_type not in ("running", "standing"):
             raise ValidationError("wave_type must be 'running' or 'standing'")
 
@@ -79,98 +90,124 @@ class SqueezedReservoir:
     carrier_offset: float = 0.0
 
     def __post_init__(self):
-        if self.n_photons < 0 or self.m_magnitude < 0:
-            raise ValidationError("n_photons and m_magnitude must be >= 0")
+        _require((self.n_photons >= 0) & (self.m_magnitude >= 0),
+                 "n_photons and m_magnitude must be >= 0")
         bound = self.n_photons * (self.n_photons + 1.0)
-        if self.m_magnitude ** 2 > bound * (1.0 + 1e-12) + 1e-15:
-            raise ValidationError(
-                "two-photon correlation bound violated: m^2 <= n(n+1)")
-        if not 0 <= self.matching <= 1:
-            raise ValidationError("matching must lie in [0, 1]")
-        if not 0 < self.solid_angle <= math.pi:
-            raise ValidationError("solid_angle must lie in (0, pi]")
+        _require(self.m_magnitude ** 2 <= bound * (1.0 + 1e-12) + 1e-15,
+                 "two-photon correlation bound violated: m^2 <= n(n+1)")
+        _require((self.matching >= 0) & (self.matching <= 1),
+                 "matching must lie in [0, 1]")
+        _require((self.solid_angle > 0) & (self.solid_angle <= math.pi),
+                 "solid_angle must lie in (0, pi]")
 
 
-def _angular_factors(mu_dot_r: float) -> tuple[float, float]:
-    a = 1.0 - mu_dot_r ** 2
-    b = 1.0 - 3.0 * mu_dot_r ** 2
-    return a, b
+# Coefficients in x^2, x^2 divided out, of p = 1 - sin(x)/x and q = 1/3
+# + (x cos x - sin x)/x^3 = 1/3 + sum_n>=1 (-1)^n 2n x^(2n-2)/(2n+1)!.
+# Below _SERIES_X the closed forms cancel, the series do not.
+_SERIES_X = 1.0
+_P = tuple((-1) ** (n + 1) / factorial(2 * n + 1) for n in range(1, 12))
+_Q = tuple((-1) ** n * 2 * n / factorial(2 * n + 1) for n in range(2, 13))
 
 
-def damping_profile(x: float, mu_dot_r: float) -> float:
-    """Oscillatory profile of the collective damping versus k0*r."""
-    a, b = _angular_factors(mu_dot_r)
-    return 1.5 * (a * math.sin(x) / x
-                  + b * (math.cos(x) / x ** 2 - math.sin(x) / x ** 3))
+def _series(coeffs: tuple, x):
+    x2, total = x * x, 0.0
+    for c in reversed(coeffs):
+        total = total * x2 + c
+    return total * x2
 
 
-def shift_profile(x: float, mu_dot_r: float) -> float:
-    """Oscillatory profile of the dipole-dipole shift versus k0*r."""
-    a, b = _angular_factors(mu_dot_r)
-    return 0.75 * (-a * math.cos(x) / x
-                   + b * (math.sin(x) / x ** 2 + math.cos(x) / x ** 3))
+def damping_profile(x, mu_dot_r):
+    """Oscillatory profile of the collective damping versus k0*r.
+
+    It equals 1 - (3/2)(a p(x) - b q(x)) with p and q as above, so it is
+    exactly 1 at contact and stays below 1 near it, where a p >= b q.
+    """
+    a, b = 1.0 - mu_dot_r ** 2, 1.0 - 3.0 * mu_dot_r ** 2
+
+    def series(x):
+        return a * _series(_P, x) - b * _series(_Q, x)
+
+    def closed(x):
+        sinc = np.sin(x) / x
+        return a * (1.0 - sinc) - b * (1.0 / 3.0 + (np.cos(x) - sinc) / x ** 2)
+
+    if isinstance(x, float):  # one point: numpy's where costs more than this
+        excess = series(x) if x < _SERIES_X else closed(x)
+    else:
+        small = x < _SERIES_X
+        excess = np.where(small, series(np.where(small, x, 0.0)),
+                          closed(np.where(small, _SERIES_X, x)))
+    return _value(1.0 - 1.5 * excess)
 
 
-def collective_damping(pair: AtomPairConfig) -> float:
+def shift_profile(x, mu_dot_r):
+    """Oscillatory profile of the dipole-dipole shift versus k0*r; it
+    overflows to a non-finite value below x ~ 1e-102."""
+    a, b = 1.0 - mu_dot_r ** 2, 1.0 - 3.0 * mu_dot_r ** 2
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _value(0.75 * (-a * np.cos(x) / x
+                              + b * (np.sin(x) / x ** 2 + np.cos(x) / x ** 3)))
+
+
+def collective_damping(pair: AtomPairConfig):
     """Cross-damping rate Gamma12 of the pair.
 
     Continuous at zero separation, where it attains the maximal value
     sqrt(gamma1*gamma2).
     """
-    root = math.sqrt(pair.gamma1 * pair.gamma2)
-    if pair.separation == 0:
-        return root
-    x = 2 * math.pi * pair.separation
-    return root * damping_profile(x, pair.mu_dot_r)
+    return _value(np.sqrt(pair.gamma1 * pair.gamma2) * damping_profile(
+        2 * math.pi * pair.separation, pair.mu_dot_r))
 
 
 def damping_matrix(pair: AtomPairConfig) -> np.ndarray:
-    """Damping matrix [[gamma1, Gamma12], [Gamma12, gamma2]] of the pair."""
-    g12 = collective_damping(pair)
-    return np.array([[pair.gamma1, g12], [g12, pair.gamma2]])
+    """Damping matrices [[gamma1, Gamma12], [Gamma12, gamma2]], (..., 2, 2)."""
+    g1, g12, g2 = np.broadcast_arrays(pair.gamma1, collective_damping(pair),
+                                      pair.gamma2)
+    return np.stack([g1, g12, g12, g2], -1).reshape(g1.shape + (2, 2))
 
 
-def dipole_dipole_shift(pair: AtomPairConfig) -> float:
+def dipole_dipole_shift(pair: AtomPairConfig):
     """Coherent dipole-dipole coupling Omega12 of the pair.
 
     Diverges like r^-3 at contact, so zero separation is rejected.
     """
-    if pair.separation == 0:
+    if np.asarray(pair.separation == 0).any():
         raise DomainError("dipole-dipole shift diverges at zero separation")
-    x = 2 * math.pi * pair.separation
-    return math.sqrt(pair.gamma1 * pair.gamma2) * shift_profile(x, pair.mu_dot_r)
+    return _value(np.sqrt(pair.gamma1 * pair.gamma2) * shift_profile(
+        2 * math.pi * pair.separation, pair.mu_dot_r))
 
 
-def rabi_at_atoms(drive: DriveField, pair: AtomPairConfig) -> tuple[complex, complex]:
+def rabi_at_atoms(drive: DriveField, pair: AtomPairConfig):
     """Position-resolved complex Rabi frequencies (Omega1, Omega2).
 
     The atoms sit at -r12/2 and +r12/2 on the interatomic axis, so a
     running wave gives a pure phase difference exp(i kL.r12) while a
     standing wave modulates the amplitudes.
     """
-    cos_beta = math.cos(drive.propagation_angle)
-    if abs(cos_beta) < 4e-16:
-        cos_beta = 0.0  # cos(pi/2) is not exactly zero in floating point
+    cos_beta = np.cos(drive.propagation_angle)
+    # cos(pi/2) is not exactly zero in floating point
+    cos_beta = np.where(np.abs(cos_beta) < 4e-16, 0.0, cos_beta)
     kr_half = math.pi * pair.separation * cos_beta
     if drive.wave_type == "running":
         om1 = drive.rabi * np.exp(1j * (-kr_half + drive.phase))
         om2 = drive.rabi * np.exp(1j * (+kr_half + drive.phase))
     else:
-        om1 = drive.rabi * math.cos(-kr_half + drive.phase) + 0j
-        om2 = drive.rabi * math.cos(+kr_half + drive.phase) + 0j
-    return complex(om1), complex(om2)
+        om1 = drive.rabi * np.cos(-kr_half + drive.phase) + 0j
+        om2 = drive.rabi * np.cos(+kr_half + drive.phase) + 0j
+    return _value(om1), _value(om2)
 
 
-def propagation_factor(solid_angle: float) -> float:
-    """Fraction of vacuum modes covered by a squeezed cone of half-angle theta_s."""
-    c = math.cos(solid_angle)
-    return 0.5 * (1.0 - 0.25 * (3.0 + c ** 2) * c)
-
-
-def effective_squeezing(res: SqueezedReservoir) -> tuple[float, float]:
-    """(N_eff, |M_eff|) seen by the atoms after matching and propagation."""
-    scale = res.matching * propagation_factor(res.solid_angle)
+def effective_squeezing(res: SqueezedReservoir):
+    """(N_eff, |M_eff|) seen by the atoms after matching and propagation
+    (the fraction of vacuum modes a cone of half-angle theta_s covers)."""
+    c = np.cos(res.solid_angle)
+    scale = res.matching * _value(0.5 * (1.0 - 0.25 * (3.0 + c ** 2) * c))
     return res.n_photons * scale, res.m_magnitude * scale
+
+
+def beyond_two_photon_bound(n, m_magnitude):
+    """Where |m|^2 exceeds n(n+1) by more than rounding, elementwise."""
+    return m_magnitude ** 2 > n * (n + 1) * (1 + 1e-12) + 1e-300
 
 
 def classify_squeezing(n: float, m_magnitude: float) -> str:
@@ -182,7 +219,7 @@ def classify_squeezing(n: float, m_magnitude: float) -> str:
         raise ValidationError("n and m must be nonnegative")
     if n == 0 and m_magnitude == 0:
         return "vacuum"
-    if m_magnitude ** 2 > n * (n + 1) * (1 + 1e-12) + 1e-300:
+    if beyond_two_photon_bound(n, m_magnitude):
         return "invalid"
     if m_magnitude <= n:
         return "classical"

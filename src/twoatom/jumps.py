@@ -178,8 +178,6 @@ def _lockstep(prop: NoJumpPropagator, gen: Generator, sampler, seed: int,
     rngs = [np.random.Generator(np.random.Philox(key=[seed, i]))
             for i in indices]
     psi = _unit(np.array([sampler(rng) for rng in rngs], dtype=complex))
-    rates = np.array([rate for rate, _ in gen.channels], dtype=float)
-    ops = np.array([op for _, op in gen.channels]).reshape(-1, 4, 4)
     horizon, live = grid[-1], np.arange(len(rngs))
     t_now, cursor = np.zeros(live.size), np.zeros(live.size, dtype=int)
     final = np.empty((live.size, 4), dtype=complex)
@@ -204,8 +202,8 @@ def _lockstep(prop: NoJumpPropagator, gen: Generator, sampler, seed: int,
         live = live[jumped]
         t_now[live] = t_stop[jumped]
         phi = prop.state(psi[live], delay[jumped])
-        emptied = np.einsum("kij,bj->bki", ops, phi)
-        weights = rates * np.real(emptied.conj() * emptied).sum(axis=2)
+        emptied = np.einsum("kij,bj->bki", gen.ops, phi)
+        weights = gen.rates * np.real(emptied.conj() * emptied).sum(axis=2)
         total = weights.sum(axis=1)
         # a dark state emits on no channel: no variate, no jump
         psi[live[total <= 0]] = _unit(phi[total <= 0])

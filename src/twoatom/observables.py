@@ -15,16 +15,12 @@ import numpy as np
 from . import geometry
 from .dynamics import Generator, evolve
 from .errors import DomainError, UndefinedValueError, ValidationError
+from .geometry import _value
 from .operators import (KET_A, S1M, S1P, S2M, S2P, SM, SP, expect)
 from .validation import validate_density_matrix
 
 # S_i^+ S_j^- over the atom pair (i, j)
 _RAISE_LOWER = np.array([[S1P @ S1M, S1P @ S2M], [S2P @ S1M, S2P @ S2M]])
-
-
-def _value(x):
-    """A float for one state, the array itself for a stack."""
-    return float(x) if np.ndim(x) == 0 else x
 
 
 @dataclass(frozen=True)
@@ -77,14 +73,10 @@ def detection_operator(pair: geometry.AtomPairConfig, theta: float) -> np.ndarra
 def total_intensity(rho: np.ndarray, pair) -> float | np.ndarray:
     """Total photon emission rate sum_ij G_ij <S_i^+ S_j^-> of the state.
 
-    ``pair`` is one AtomPairConfig, or for a stack of states a sequence
-    of one per state.
+    A stack of states broadcasts against a scalar or a stacked pair.
     """
     rho = validate_density_matrix(rho)
-    if isinstance(pair, geometry.AtomPairConfig):
-        gm = geometry.damping_matrix(pair)
-    else:
-        gm = np.array([geometry.damping_matrix(p) for p in pair])
+    gm = geometry.damping_matrix(pair)
     corr = np.einsum("...ab,ijba->...ij", rho, _RAISE_LOWER).real
     return _value(np.maximum((gm * corr).sum(axis=(-2, -1)), 0.0))
 
@@ -111,18 +103,18 @@ def angular_intensity(rho: np.ndarray, pair: geometry.AtomPairConfig,
 
 
 def g2_zero(rho: np.ndarray, pair: geometry.AtomPairConfig,
-            geom: DetectionGeometry) -> float:
+            geom: DetectionGeometry) -> float | np.ndarray:
     """Equal-time normalized second-order correlation of the detectors."""
     rho = validate_density_matrix(rho)
     d1 = detection_operator(pair, geom.theta1)
     d2 = detection_operator(pair, geom.second)
     i1 = expect(d1.conj().T @ d1, rho).real
     i2 = expect(d2.conj().T @ d2, rho).real
-    if i1 <= 0 or i2 <= 0:
+    if np.any(i1 <= 0) or np.any(i2 <= 0):
         raise UndefinedValueError("dark detector placement: zero intensity")
     pair_op = d2 @ d1
     num = expect(pair_op.conj().T @ pair_op, rho).real
-    return num / (i1 * i2)
+    return _value(num / (i1 * i2))
 
 
 def g2_tau(gen: Generator, rho_start: np.ndarray,

@@ -134,9 +134,7 @@ def _run_g2(cfg: ScenarioConfig) -> ResultTable:
                                          theta2=cfg["theta2"],
                                          phi=cfg["obs_phi"])
     series = observables.g2_tau(gen, rho, cfg.pair(), geom, cfg.grid())
-    table = ResultTable(columns=["tau", "g2"],
-                        rows=[[t, v] for t, v in
-                              zip(series.taus, series.values)])
+    table = _table({"tau": series.taus, "g2": series.values})
     table.metadata["degenerate"] = int(degenerate)
     return table
 
@@ -187,12 +185,12 @@ def records_jsonl(records) -> str:
 def _run_sweep(cfg: ScenarioConfig) -> ResultTable:
     key = cfg["sweep_key"]
     grid = cfg.grid()
-
-    subs = [ScenarioConfig(values={**cfg.values, key: float(v)}) for v in grid]
-    # the generators are built lazily, one solver chunk at a time
-    states, _ = dynamics.steady_states(build_generator(s) for s in subs)
-    return _table({key: grid,
-                   **_state_columns(states, [s.pair() for s in subs])})
+    # one stacked model over the swept values; a key the generator does
+    # not read leaves it unstacked, and its state holds on every row
+    stacked = ScenarioConfig(values={**cfg.values, key: grid})
+    states, _ = dynamics.steady_states(build_generator(stacked))
+    states = np.broadcast_to(states, grid.shape + (4, 4))
+    return _table({key: grid, **_state_columns(states, stacked.pair())})
 
 
 def _run_figure(cfg: ScenarioConfig) -> ResultTable:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import oracles
 from twoatom import analytic, geometry
 from twoatom.cli import main
 from twoatom.config import parse_config, serialize_config
-from twoatom.errors import ConfigError
+from twoatom.errors import ConfigError, DomainError, ValidationError
 from twoatom.figures import available_figures, figure_preset, run_figure
 from twoatom.runner import parse_table_config, run_scenario
 
@@ -177,6 +178,32 @@ class TestRunScenario:
             csv = run_scenario(parse_config(text)).to_csv()
             assert run_scenario(parse_table_config(csv)).to_csv() == csv
 
+    @pytest.mark.parametrize("text, error, message", [
+        ("generator = vacuum_drive\nsweep_key = separation\n"
+         "grid_start = -0.5\ngrid_stop = 1.0\n", ValidationError,
+         "separation must satisfy separation >= 0"),
+        ("generator = vacuum_drive\nsweep_key = rabi\n"
+         "grid_start = -1.0\ngrid_stop = 2.0\n", ValidationError,
+         "rabi must satisfy rabi >= 0"),
+        ("generator = squeezed\nsweep_key = m_magnitude\nn_photons = 0.5\n"
+         "grid_start = 0.0\ngrid_stop = 2.0\n", ValidationError,
+         "two-photon correlation bound violated: m^2 <= n(n+1)"),
+        ("generator = bad_cavity\nsweep_key = cavity_rate\n"
+         "grid_start = -10.0\ngrid_stop = 10.0\n", DomainError,
+         "cavity decay rate must be positive"),
+        ("generator = squeezed\nsweep_key = delta\ncarrier_offset = 0.5\n"
+         "n_photons = 0.5\nm_magnitude = 0.5\ngrid_start = -1.0\n"
+         "grid_stop = 1.0\n", ValidationError,
+         "the secular nonidentical case requires the squeezing carrier "
+         "midway between the transition frequencies (carrier_offset = 0)"),
+    ], ids=["separation", "rabi", "m_magnitude", "cavity_rate", "delta"])
+    def test_sweep_past_a_bound_raises_the_point_error(self, text, error,
+                                                       message):
+        # the same class and message as building the offending point alone
+        cfg = parse_config("scenario = sweep\ngrid_points = 21\n" + text)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            run_scenario(cfg)
+
     def test_tolerance_keys_parse_and_are_unread(self):
         # rtol and atol of the former adaptive integrator stay parseable so
         # old tables replay; exact propagation reads neither
@@ -291,6 +318,25 @@ class TestCliEntry:
                        "grid_points = 3\n")
         assert main(["run", str(cfg)]) == 1
         assert "perpendicular" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "scenario = steady\nseparation = 1e-120\n",
+        "scenario = steady\nseparation = 1e-105\n",
+        "scenario = evolve\nseparation = 1e-120\nrabi = 1.0\n",
+        "scenario = evolve\nseparation = 1e-105\nrabi = 1.0\n",
+        "scenario = sweep\nsweep_key = separation\ngrid_start = 1e-120\n"
+        "grid_stop = 0.5\ngrid_points = 21\n",
+    ], ids=["steady-1e-120", "steady-1e-105", "evolve-1e-120",
+            "evolve-1e-105", "sweep-1e-120"])
+    def test_overflowing_shift_is_config_error(self, tmp_path, capsys,
+                                               text):
+        # Omega12 ~ r^-3 overflows to a non-finite value at these
+        # separations; the run stops with the separation named
+        cfg = tmp_path / "contact.cfg"
+        cfg.write_text(text)
+        assert main(["run", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "separation" in err
 
     def test_config_out_path_used_without_flag(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -300,7 +299,8 @@ class TestBadCavity:
 class TestEvolve:
     def test_zero_generator_constant(self, rng):
         gen = dynamics.Generator(h=np.zeros((4, 4), dtype=complex),
-                                 channels=(), scenario="test")
+                                 rates=np.zeros(0),
+                                 ops=np.zeros((0, 4, 4)), scenario="test")
         rho0 = random_density_matrix(rng)
         series = dynamics.evolve(gen, rho0, np.linspace(0, 5, 7))
         for k in range(7):
@@ -407,15 +407,17 @@ class TestSteadyState:
         # degenerate Dicke pair, cycled past the end of one solver chunk
         separations = (0.3, 0.003, 0.0)
         size = dynamics.STACK_CHUNK + 1
-        gens = [dynamics.build_vacuum_drive(
-                    pair(separations[k % 3]),
-                    geometry.DriveField(rabi=1.0, detuning=detuning))
-                for k, detuning in enumerate(np.linspace(-2.0, 2.0, size))]
-        states, degenerate = dynamics.steady_states(
-            (gen for gen in gens), reference=reference)
+        seps = np.array([separations[k % 3] for k in range(size)])
+        detunings = np.linspace(-2.0, 2.0, size)
+        stack = dynamics.build_vacuum_drive(
+            pair(seps), geometry.DriveField(rabi=1.0, detuning=detunings))
+        states, degenerate = dynamics.steady_states(stack, reference=reference)
         assert states.shape == (size, 4, 4)
         assert degenerate.tolist() == [k % 3 == 2 for k in range(size)]
-        for k, gen in enumerate(gens):
+        for k in range(size):
+            gen = dynamics.build_vacuum_drive(
+                pair(float(seps[k])),
+                geometry.DriveField(rabi=1.0, detuning=float(detunings[k])))
             rho, flag = dynamics.steady_state(gen, reference=reference)
             assert np.abs(states[k] - rho).max() <= 1e-13
             assert degenerate[k] == flag
@@ -423,11 +425,14 @@ class TestSteadyState:
     def test_stack_with_a_point_without_null_vector_raises(self):
         gen = dynamics.build_vacuum_drive(pair(0.3),
                                           geometry.DriveField(rabi=1.0))
-        # an invertible generator has no stationary state
-        invertible = SimpleNamespace(matrix=-np.eye(16, dtype=complex),
-                                     channels=((1.0, S1M),))
+        # an invertible generator, L = -1 at total channel rate 1, has no
+        # stationary state
+        invertible = (-0.5j * np.eye(4), [1.0, 0.0], np.zeros((2, 4, 4)))
+        stack = dynamics.Generator(*(
+            np.stack([field, field, odd, field]) for field, odd in
+            zip((gen.h, gen.rates, gen.ops), invertible)), scenario="test")
         with pytest.raises(SteadyStateError, match="no null vector"):
-            dynamics.steady_states([gen, gen, invertible, gen])
+            dynamics.steady_states(stack)
 
     def test_trace_preservation_random_states(self, rng):
         builders = [

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -47,6 +48,43 @@ class TestCollectiveDamping:
         grid = np.linspace(1e-3, 5.0, 2000)
         vals = [geometry.collective_damping(pair(float(s))) for s in grid]
         assert np.abs(np.diff(vals)).max() < 0.05
+
+
+    def test_matches_high_precision_reference_near_contact(self):
+        # separations log-uniform down to 1e-12, where the closed form
+        # cos x/x^2 - sin x/x^3 loses about eps/x^2 to cancellation
+        rng = np.random.default_rng(20261019)
+        seps = 10.0 ** rng.uniform(-12.0, math.log10(3.0), 400)
+        angles = rng.uniform(0.0, math.pi / 2, 400)
+        gamma2 = rng.uniform(0.3, 3.0, 400)
+        stacked = geometry.collective_damping(
+            pair(seps, gamma2=gamma2, dipole_angle=angles))
+        with mpmath.workdps(40):
+            for k in range(seps.size):
+                p = pair(float(seps[k]), gamma2=float(gamma2[k]),
+                         dipole_angle=float(angles[k]))
+                got = geometry.collective_damping(p)
+                assert got == stacked[k]
+                x = 2 * mpmath.pi * mpmath.mpf(p.separation)
+                mu = mpmath.cos(mpmath.mpf(p.dipole_angle))
+                profile = 1.5 * ((1 - mu ** 2) * mpmath.sin(x) / x
+                                 + (1 - 3 * mu ** 2) * (mpmath.cos(x) / x ** 2
+                                                        - mpmath.sin(x) / x ** 3))
+                root = math.sqrt(p.gamma2)
+                assert abs(got - float(root * profile)) <= 1e-12
+                assert abs(got) <= root
+
+    @pytest.mark.parametrize("separation, angle", [
+        (1e-6, math.pi / 2), (1e-9, 0.0), (1e-10, math.pi / 2)])
+    def test_near_contact_stays_at_its_bound(self, separation, angle):
+        g12 = geometry.collective_damping(pair(separation, dipole_angle=angle))
+        assert 1.0 - 1e-10 <= g12 <= 1.0
+
+    def test_series_and_closed_form_agree_where_they_meet(self):
+        seam = geometry._SERIES_X
+        for mu in np.linspace(0.0, 1.0, 7):
+            below = geometry.damping_profile(np.nextafter(seam, 0.0), mu)
+            assert abs(below - geometry.damping_profile(seam, mu)) <= 1e-13
 
 
 class TestDipoleDipoleShift:

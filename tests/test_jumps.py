@@ -174,7 +174,8 @@ class TestPropagator:
         # a Jordan block has a single eigenvector, so no eigenbasis exists
         jordan = np.zeros((4, 4), dtype=complex)
         jordan[0, 1] = 1.0
-        gen = dynamics.Generator(h=jordan, channels=(), scenario="test")
+        gen = dynamics.Generator(h=jordan, rates=np.zeros(0),
+                                 ops=np.zeros((0, 4, 4)), scenario="test")
         with pytest.raises(ValidationError,
                            match=r"condition number .* exceeds 1e\+06"):
             jumps.NoJumpPropagator(gen)
@@ -199,7 +200,8 @@ class TestChannels:
     def test_rates_nonnegative_and_complete(self, rng):
         for _ in range(20):
             p = random_pair(rng)
-            channels = vacuum(p).channels
+            gen = vacuum(p)
+            channels = list(zip(gen.rates, gen.ops))
             total = sum(rate * (op.conj().T @ op) for rate, op in channels)
             g12 = geometry.collective_damping(p)
             from twoatom.operators import S1M, S2M
@@ -212,7 +214,7 @@ class TestChannels:
     def test_identical_atoms_symmetric_antisymmetric(self):
         p = pair(0.14)
         g12 = geometry.collective_damping(p)
-        rates = sorted(rate for rate, _ in vacuum(p).channels)
+        rates = sorted(vacuum(p).rates)
         assert rates[0] == pytest.approx(1 - g12, abs=1e-12)
         assert rates[1] == pytest.approx(1 + g12, abs=1e-12)
 

@@ -8,6 +8,7 @@ the reference superoperators, that the propagator exp(L t) is completely
 positive and that the stationary state is a density matrix.  The jump
 sampler's block root solver is checked against brentq on every model.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,6 @@ from scipy.optimize import brentq
 from oracles import dissipator, hamiltonian_superop
 from twoatom import dynamics, geometry, jumps
 from twoatom.errors import ValidationError
-from twoatom.figures import _small_sample_generator
 from twoatom.operators import I4, unvec, vec
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
@@ -40,6 +40,15 @@ def pairs(draw, identical=None):
         separation=draw(separations), dipole_angle=draw(angles),
         gamma2=draw(rates),
         delta=draw(st.one_of(st.floats(-3.0, -0.1), st.floats(0.1, 3.0))))
+
+
+def small_sample(gamma1, gamma2, delta, omega12, rabi, detuning):
+    """The selective-excitation presets' small sample: contact-value
+    collective damping with the coherent coupling omega12 set by hand."""
+    pair = geometry.AtomPairConfig(separation=0.0, gamma1=gamma1,
+                                   gamma2=gamma2, delta=delta)
+    drive = geometry.DriveField(rabi=rabi, detuning=detuning)
+    return dynamics._vacuum(pair, drive, omega12)
 
 
 drives = st.builds(geometry.DriveField,
@@ -69,7 +78,7 @@ def check_model(gen: dynamics.Generator, psi: list) -> None:
     # the assembled generator equals -i[h, .] + sum_k rate_k D[op_k] built
     # from the reference Kronecker-product superoperators
     reference = hamiltonian_superop(gen.h) + sum(
-        dissipator(rate, op) for rate, op in gen.channels)
+        dissipator(rate, op) for rate, op in zip(gen.rates, gen.ops))
     assert np.abs(lmat - reference).max() <= 1e-14 * scale
     # trace preservation: vec(I)^+ L = 0
     assert np.abs(vec(I4).conj() @ lmat).max() < 1e-12 * scale
@@ -79,12 +88,13 @@ def check_model(gen: dynamics.Generator, psi: list) -> None:
         out = unvec(lmat @ units[k])
         flipped = unvec(lmat @ vec(unvec(units[k]).conj().T))
         assert np.abs(out.conj().T - flipped).max() < 1e-12 * scale
-    assert all(rate >= 0.0 for rate, _ in gen.channels)
+    assert all(rate >= 0.0 for rate in gen.rates)
     # the no-jump Hamiltonian decays by exactly the channels' rates
     assert np.abs(gen.h - gen.h.conj().T).max() < 1e-12 * scale
     hc = gen.conditional_hamiltonian
     decay = 0.5j * (hc - hc.conj().T)
-    half = 0.5 * sum(rate * op.conj().T @ op for rate, op in gen.channels)
+    half = 0.5 * sum(rate * op.conj().T @ op
+                     for rate, op in zip(gen.rates, gen.ops))
     assert np.abs(decay - half).max() < 1e-12 * scale
     assert np.linalg.eigvalsh(decay).min() > -1e-12 * scale
     # complete positivity: the Choi matrix of the propagator exp(L t),
@@ -96,8 +106,7 @@ def check_model(gen: dynamics.Generator, psi: list) -> None:
         assert np.abs(choi - choi.conj().T).max() < 1e-12 * scale * t
         assert np.linalg.eigvalsh(choi).min() > -1e-12 * scale * t
     # the stacked solver's stationary state is a density matrix
-    states, _ = dynamics.steady_states([gen])
-    rho = states[0]
+    rho, _ = dynamics.steady_states(gen)
     assert np.abs(rho - rho.conj().T).max() < 1e-14
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.linalg.eigvalsh(rho).min() > -1e-12
@@ -141,8 +150,93 @@ class TestModelProperties:
            st.floats(0.0, 20.0), st.floats(-25.0, 25.0), states)
     def test_small_sample(self, gamma1, gamma2, delta, omega12, rabi,
                           detuning, psi):
-        check_model(_small_sample_generator(gamma1, gamma2, delta, omega12,
-                                            rabi, detuning), psi)
+        check_model(small_sample(gamma1, gamma2, delta, omega12, rabi,
+                                 detuning), psi)
+
+
+def stacked(objects):
+    """One parameter object whose numeric fields stack those of
+    ``objects``; string fields are taken from the first."""
+    return type(objects[0])(**{
+        f.name: (getattr(objects[0], f.name) if f.type is str
+                 else np.array([getattr(o, f.name) for o in objects]))
+        for f in dataclasses.fields(objects[0])})
+
+
+def check_stack(stack: dynamics.Generator, singles: list) -> None:
+    # a stacked build equals the one-point builds, point by point
+    assert stack.shape == (len(singles),)
+    for name in ("matrix", "conditional_hamiltonian", "rates", "ops"):
+        for k, gen in enumerate(singles):
+            want = getattr(gen, name)
+            scale = max(1.0, np.abs(want).max())
+            assert np.abs(getattr(stack, name)[k] - want).max() \
+                <= 1e-14 * scale, name
+
+
+def same_wave(drive_list):
+    return [dataclasses.replace(d, wave_type=drive_list[0].wave_type)
+            for d in drive_list]
+
+
+def points(strategy):
+    return st.lists(strategy, min_size=1, max_size=6)
+
+
+class TestStackedBuilds:
+    @PROPERTY
+    @given(points(st.tuples(pairs(), drives)))
+    def test_vacuum_drive(self, cases):
+        plist, dlist = zip(*cases)
+        dlist = same_wave(dlist)
+        check_stack(dynamics.build_vacuum_drive(stacked(plist), stacked(dlist)),
+                    [dynamics.build_vacuum_drive(p, d)
+                     for p, d in zip(plist, dlist)])
+
+    @PROPERTY
+    @given(points(squeezed_cases()))
+    def test_squeezed(self, cases):
+        # secular (delta != 0) and complete points mix in one stack
+        plist, rlist = zip(*cases)
+        check_stack(dynamics.build_squeezed(stacked(plist), stacked(rlist)),
+                    [dynamics.build_squeezed(*case) for case in cases])
+
+    def test_squeezed_delta_through_zero(self):
+        deltas = np.linspace(-1.0, 1.0, 9)
+        res = geometry.SqueezedReservoir(n_photons=0.5, m_magnitude=0.6,
+                                         squeeze_phase=0.3)
+        stack = dynamics.build_squeezed(
+            geometry.AtomPairConfig(separation=0.2, delta=deltas), res)
+        assert stack.meta["secular"].tolist() == [d != 0 for d in deltas]
+        check_stack(stack, [dynamics.build_squeezed(
+            geometry.AtomPairConfig(separation=0.2, delta=float(d)), res)
+            for d in deltas])
+
+    @PROPERTY
+    @given(points(drives))
+    def test_dicke_dressed(self, dlist):
+        dlist = same_wave(dlist)
+        check_stack(dynamics.build_dicke_dressed(stacked(dlist)),
+                    [dynamics.build_dicke_dressed(d) for d in dlist])
+
+    @PROPERTY
+    @given(points(st.tuples(pairs(), st.floats(0.0, 3.0),
+                            st.floats(0.1, 200.0), st.floats(0.0, 50.0))))
+    def test_bad_cavity(self, cases):
+        plist, g, gamma_c, omega = zip(*cases)
+        check_stack(dynamics.build_bad_cavity(stacked(plist), np.array(g),
+                                              np.array(gamma_c),
+                                              np.array(omega)),
+                    [dynamics.build_bad_cavity(*case) for case in cases])
+
+    @PROPERTY
+    @given(points(st.tuples(rates, rates, st.floats(-3.0, 3.0),
+                            st.floats(-20.0, 20.0), st.floats(0.0, 20.0),
+                            st.floats(-25.0, 25.0))))
+    def test_small_sample(self, cases):
+        columns = [np.array(c) for c in zip(*cases)]
+        check_stack(small_sample(*columns),
+                    [small_sample(*case) for case in cases])
 
 
 # every builder, plus undriven identical atoms at contact, whose
@@ -153,7 +247,7 @@ models = st.one_of(
     st.builds(dynamics.build_dicke_dressed, drives),
     st.builds(dynamics.build_bad_cavity, pairs(), st.floats(0.0, 3.0),
               st.floats(0.1, 200.0), st.floats(0.0, 50.0)),
-    st.builds(_small_sample_generator, rates, rates, st.floats(-3.0, 3.0),
+    st.builds(small_sample, rates, rates, st.floats(-3.0, 3.0),
               st.floats(-20.0, 20.0), st.floats(0.0, 20.0),
               st.floats(-25.0, 25.0)),
     st.just(dynamics.build_vacuum_drive(

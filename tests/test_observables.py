@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,13 @@ def pair(separation, **kw):
 
 def perp():
     return observables.DetectionGeometry(theta1=math.pi / 2)
+
+
+def stacked_pair(pairs):
+    """One AtomPairConfig whose fields stack those of ``pairs``."""
+    return geometry.AtomPairConfig(**{
+        f.name: np.array([getattr(p, f.name) for p in pairs])
+        for f in dataclasses.fields(geometry.AtomPairConfig)})
 
 
 class TestTotalIntensity:
@@ -217,9 +225,8 @@ class TestG2:
         # operator normalization.
         delta, s = 1.3, 0.4
         p = pair(s, delta=delta)
-        gen = dynamics.Generator(h=delta * (S2Z - S1Z),
-                                 channels=((1.0, S1M), (1.0, S2M)),
-                                 scenario="independent")
+        gen = dynamics.Generator(h=delta * (S2Z - S1Z), rates=[1.0, 1.0],
+                                 ops=[S1M, S2M], scenario="independent")
         taus = np.linspace(0, 3, 91)
         geom = observables.DetectionGeometry(theta1=0.2, theta2=1.9)
         got = observables.g2_tau(gen, ket_density(KET_EE), p, geom, taus,
@@ -400,7 +407,8 @@ class TestStackedObservables:
             "populations": basis.collective_populations(states, cb),
             "transform": basis.basis_transform("to_product", states, cb),
             "intensity": observables.total_intensity(states, pairs[0]),
-            "intensity_per_pair": observables.total_intensity(states, pairs),
+            "intensity_per_pair": observables.total_intensity(
+                states, stacked_pair(pairs)),
             "visibility": observables.visibility(states[:-1]),
             "purity": observables.purity(states),
             "spin_squared": observables.total_spin_squared(states),
