@@ -137,16 +137,16 @@ def damping_profile(x, mu_dot_r):
         small = x < _SERIES_X
         excess = np.where(small, series(np.where(small, x, 0.0)),
                           closed(np.where(small, _SERIES_X, x)))
-    return _value(1.0 - 1.5 * excess)
+    return 1.0 - 1.5 * excess
 
 
 def shift_profile(x, mu_dot_r):
     """Oscillatory profile of the dipole-dipole shift versus k0*r; it
     overflows to a non-finite value below x ~ 1e-102."""
     a, b = 1.0 - mu_dot_r ** 2, 1.0 - 3.0 * mu_dot_r ** 2
+    cos = np.cos(x)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _value(0.75 * (-a * np.cos(x) / x
-                              + b * (np.sin(x) / x ** 2 + np.cos(x) / x ** 3)))
+        return 0.75 * (-a * cos / x + b * (np.sin(x) / x ** 2 + cos / x ** 3))
 
 
 def collective_damping(pair: AtomPairConfig):
