@@ -97,12 +97,12 @@ class Generator:
         return out, float(np.trace(out).real)
 
 
-def _liouvillian(hc: np.ndarray, rates: np.ndarray,
-                 ops: np.ndarray) -> np.ndarray:
+def _liouvillian(hc, rates, ops) -> np.ndarray:
     """(..., 16, 16) generators L = -i (I (x) Hc) + i (Hc* (x) I) + sum_k
     rate_k (op_k* (x) op_k), each Kronecker product broadcast as
     [4i + k, 4j + l] <- [i, k, j, l]."""
-    l = np.einsum("...c,...cij,...ckl->...ikjl", rates, ops.conj(), ops)
+    l = np.einsum("...cij,...ckl->...ikjl", rates[..., None, None] * ops.conj(),
+                  ops)
     l += 1j * (hc.conj()[..., :, None, :, None] * _EYE[:, None, :]
                - _EYE[:, None, :, None] * hc[..., None, :, None, :])
     return l.reshape(hc.shape[:-2] + (16, 16))
