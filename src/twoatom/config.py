@@ -92,7 +92,7 @@ class ScenarioConfig:
         return self.values.get(key, default)
 
     def _build(self, cls, **keys):
-        """cls with each field read from the key of its name, or as renamed"""
+        """``cls`` with each field read from its namesake key, or renamed."""
         return cls(**{f.name: self[keys.get(f.name, f.name)]
                       for f in fields(cls)})
 
