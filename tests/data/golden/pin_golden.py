@@ -1,11 +1,14 @@
-"""Pin one 201-point sweep CSV per generator.
+"""Pin one 201-point sweep CSV per generator and one CSV per scenario.
 
-Each sweep in ``SWEEPS`` runs through ``parse_config -> run_scenario ->
-ResultTable.to_csv`` and is stored beside this script as ``<name>.csv``.
+Each configuration in ``SWEEPS`` and ``SCENARIOS`` runs through
+``parse_config -> run_scenario -> ResultTable.to_csv`` and is stored
+beside this script as ``<name>.csv``; the jump ensemble's trajectory
+records are stored as ``<name>.records.jsonl`` and ``<name>.records.txt``.
 ``tests/test_golden.py`` compares the current engine with them: the
 ``# cfg:`` block and the header exactly, the values within the gate of
-the preset pins.  Rerun this only to re-pin deliberately, never to make
-a failing test pass, and report the drift when you do.
+the preset pins, the records byte for byte.  Rerun this only to re-pin
+deliberately, never to make a failing test pass, and report the drift
+when you do.
 
     PYTHONPATH=src python3 tests/data/golden/pin_golden.py
 """
@@ -71,14 +74,85 @@ cavity_rate = 50.0
 }
 
 
-def render(name: str) -> str:
-    """CSV of the named sweep, run by the current code."""
-    return run_scenario(parse_config(SWEEPS[name])).to_csv()
+SCENARIOS = {
+    "steady_squeezed": """\
+scenario = steady
+generator = squeezed
+separation = 0.25
+dipole_angle = 1.1
+n_photons = 0.7
+m_magnitude = 0.9
+squeeze_phase = 0.6
+solid_angle = 3.0
+""",
+    "evolve_vacuum_drive": """\
+scenario = evolve
+separation = 0.15
+gamma2 = 1.3
+delta = 0.4
+rabi = 1.5
+detuning = -0.7
+wave_type = standing
+initial = excited_both
+grid_stop = 8.0
+grid_points = 161
+""",
+    "g2_vacuum_drive": """\
+scenario = g2
+separation = 0.3
+rabi = 2.0
+detuning = 0.5
+theta1 = 1.2
+theta2 = 0.8
+obs_phi = 0.4
+grid_stop = 6.0
+grid_points = 121
+""",
+    "variance_dicke_dressed": """\
+scenario = variance
+generator = dicke_dressed
+rabi = 3.0
+detuning = 0.5
+initial = symmetric
+alpha = 0.9
+obs_phi = 0.3
+grid_stop = 5.0
+grid_points = 101
+""",
+    "visibility_bad_cavity": """\
+scenario = visibility
+generator = bad_cavity
+separation = 0.35
+cavity_coupling = 2.5
+cavity_rate = 40.0
+cavity_drive = 12.0
+""",
+    "jump_vacuum_drive": """\
+scenario = jump
+separation = 0.2
+rabi = 2.0
+detuning = 0.3
+grid_stop = 5.0
+grid_points = 21
+n_traj = 48
+seed = 77
+""",
+}
+
+CASES = {**SWEEPS, **SCENARIOS}
+
+
+def run(name: str):
+    """Result table of the named configuration, run by the current code."""
+    return run_scenario(parse_config(CASES[name]))
 
 
 def main() -> None:
-    for name in SWEEPS:
-        (HERE / f"{name}.csv").write_text(render(name))
+    for name in CASES:
+        table = run(name)
+        (HERE / f"{name}.csv").write_text(table.to_csv())
+        for sidecar, payload in table.sidecars.items():
+            (HERE / f"{name}.{sidecar}").write_text(payload)
 
 
 if __name__ == "__main__":

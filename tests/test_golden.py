@@ -1,11 +1,13 @@
-"""Golden outputs: every figure preset and one sweep per generator.
+"""Golden outputs: every figure preset, one sweep per generator and one
+table per other scenario.
 
 The presets are compared, read-only, with the benchmark's pinned tables
-in ``bench/reference/presets.npz``; the sweeps with the CSVs pinned by
-``tests/data/golden/pin_golden.py``.  Both use the benchmark's gate:
-identical columns, NaN exactly where the pin has NaN, and elsewhere
-|got - pin| <= ATOL + RTOL |pin|.  A refactor that moves any value past
-it fails here.
+in ``bench/reference/presets.npz``; the sweeps and scenarios with the
+CSVs pinned by ``tests/data/golden/pin_golden.py``.  Both use the
+benchmark's gate: identical columns, NaN exactly where the pin has NaN,
+and elsewhere |got - pin| <= ATOL + RTOL |pin|.  A refactor that moves
+any value past it fails here.  Trajectory records must match byte for
+byte.
 """
 import io
 from pathlib import Path
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from data.golden.pin_golden import HERE as GOLDEN, SWEEPS, render
+from data.golden.pin_golden import HERE as GOLDEN, SCENARIOS, SWEEPS, run
 from twoatom.config import parse_config
 from twoatom.figures import available_figures
 from twoatom.runner import run_scenario
@@ -57,10 +59,23 @@ def test_preset_matches_pin(fig, preset_pins):
     assert_within_gate(data, preset_pins[fig])
 
 
-@pytest.mark.parametrize("name", sorted(SWEEPS))
-def test_sweep_matches_golden(name):
-    cfg, columns, data = parse_csv(render(name))
+def assert_matches_golden(name: str) -> None:
+    table = run(name)
+    cfg, columns, data = parse_csv(table.to_csv())
     pin_cfg, pin_columns, pin = parse_csv((GOLDEN / f"{name}.csv").read_text())
     assert cfg == pin_cfg
     assert columns == pin_columns
     assert_within_gate(data, pin)
+    pinned = {path.name[len(name) + 1:]: path.read_text()
+              for path in GOLDEN.glob(f"{name}.*") if path.suffix != ".csv"}
+    assert table.sidecars == pinned
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_matches_golden(name):
+    assert_matches_golden(name)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_matches_golden(name):
+    assert_matches_golden(name)
