@@ -162,6 +162,8 @@ def _validate(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError("figure scenario requires a 'figure' id")
     if cfg["n_traj"] < 1:
         raise ConfigError("n_traj must satisfy n_traj >= 1")
+    if not 0 <= cfg["seed"] < 2 ** 63:
+        raise ConfigError("seed must satisfy 0 <= seed < 2**63")
     # physics invariants are owned by the domain types; surface their
     # message under the configuration error contract
     try:

@@ -166,14 +166,15 @@ def _scaled(x, op: np.ndarray) -> np.ndarray:
     return np.asarray(x)[..., None, None] * op
 
 
-def _pair_shift(pair: geometry.AtomPairConfig):
+def _pair_shift(pair: geometry.AtomPairConfig, needed=True):
     # the Dicke idealization drops the quasistatic shift along with the
-    # spatial phases; at finite separation the full expression is used
-    contact = np.equal(pair.separation, 0)
-    shift = np.where(contact, 0.0, geometry.dipole_dipole_shift(replace(
-        pair, separation=np.where(contact, 1.0, pair.separation))))
+    # spatial phases; at finite separation the full expression is used,
+    # except at points whose Hamiltonian drops it (``needed`` False)
+    skip = np.equal(pair.separation, 0) | np.logical_not(needed)
+    shift = np.where(skip, 0.0, geometry.dipole_dipole_shift(replace(
+        pair, separation=np.where(skip, 1.0, pair.separation))))
     if not np.isfinite(shift).all():  # Omega12 ~ r^-3 overflows first
-        smallest = np.min(np.where(contact, np.inf, pair.separation))
+        smallest = np.min(np.where(skip, np.inf, pair.separation))
         raise DomainError(f"dipole-dipole shift overflows at separation "
                           f"{smallest:g}")
     return shift
@@ -240,7 +241,7 @@ def build_squeezed(pair: geometry.AtomPairConfig,
     kossakowski = np.block([[blocks[0], blocks[1]], [blocks[2], blocks[3]]])
     h = np.where(secular[..., None, None], 0.0,
                  _scaled(-res.carrier_offset, SZ)
-                 + _scaled(_pair_shift(pair), _EXCHANGE))
+                 + _scaled(_pair_shift(pair, ~secular), _EXCHANGE))
     rates, ops = _channels(kossakowski, _LADDER)
     return Generator(h=h, rates=rates, ops=ops, scenario="squeezed",
                      meta={"pair": pair, "reservoir": res,

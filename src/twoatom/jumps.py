@@ -6,11 +6,13 @@ sampled exactly by inverting the no-jump probability built from its
 eigendecomposition, and each jump applies one of the generator's
 channels.  An ensemble runs in one process, its trajectories in lockstep
 (one vectorised solve of P(t) = xi per round).  Stream i of seed s draws
-from the counter-based generator keyed by (s, i) and all array operations
-are row-local, so a record depends only on (s, i), whatever the ensemble.
+the numbers np.random.Philox(key=[s, i]) would, computed as arrays of
+the counter-based function of (s, i, draw); all array operations are
+row-local, so a record depends only on (s, i), whatever the ensemble.
+Jumps are kept as flat arrays; TrajectoryRecords are built on request.
 """
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +26,10 @@ XTOL, RTOL = 1e-13, 4 * np.finfo(float).eps
 # a block of trajectories advanced together holds at most LANES of them
 # and at most SAMPLES grid states, which bounds its working arrays
 LANES, SAMPLES = 2048, 1 << 15
+# Philox4x64-10 (Salmon et al., SC'11) as numpy's Philox runs it
+_PHILOX_M = np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157)
+_PHILOX_W = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B)
+_LO32, _U32, _U11 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(11)
 
 
 @dataclass(frozen=True)
@@ -39,14 +45,38 @@ class TrajectoryRecord:
 
 @dataclass(frozen=True)
 class JumpEnsemble:
-    """Ensemble summary and records; run_trajectories explains the errors."""
+    """Ensemble summary and flat jump records; run_trajectories explains
+    the errors.  Stream i's jumps are the next ``jump_counts[i]`` entries
+    of ``jump_times``, ``channels`` and ``post_jump_states``."""
     times: np.ndarray
     mean_states: np.ndarray
     population_stderr: np.ndarray
     emission_rate: np.ndarray
     emission_rate_stderr: np.ndarray
-    records: list = field(default_factory=list)
-    n_trajectories: int = 0
+    n_trajectories: int
+    seed: int
+    jump_counts: np.ndarray
+    jump_times: np.ndarray
+    channels: np.ndarray
+    post_jump_states: np.ndarray
+    final_states: np.ndarray
+
+    @property
+    def records(self) -> list:
+        """One TrajectoryRecord per stream, built on each read."""
+        ends = np.cumsum(self.jump_counts).tolist()
+        return [TrajectoryRecord(
+            seed=self.seed, index=i, jump_times=self.jump_times[a:b],
+            channels=self.channels[a:b],
+            post_jump_states=self.post_jump_states[a:b],
+            final_state=self.final_states[i])
+            for i, (a, b) in enumerate(zip([0] + ends[:-1], ends))]
+
+    def render_records(self) -> tuple[str, str]:
+        """The records.jsonl and records.txt renderings of the records."""
+        return _render_records([self.seed] * self.n_trajectories,
+                               range(self.n_trajectories), self.jump_counts,
+                               self.jump_times, self.channels)
 
 
 def _unit(vecs: np.ndarray) -> np.ndarray:
@@ -158,44 +188,93 @@ def _normalized_vector(psi: np.ndarray) -> np.ndarray:
     return psi / norm
 
 
-def _initial_sampler(rho0: np.ndarray):
-    """Pure states propagate as-is; mixed states are sampled by weight."""
+def _mulhilo(m: np.uint64, x: np.ndarray):
+    """High and low words of the 128-bit products m * x, from 32-bit
+    halves (np.uint64 operands throughout, so nothing promotes to float)."""
+    m_lo, m_hi = m & _LO32, m >> _U32
+    x_lo, x_hi = x & _LO32, x >> _U32
+    mid = m_hi * x_lo
+    cross = (m_lo * x_lo >> _U32) + (mid & _LO32) + m_lo * x_hi
+    return m_hi * x_hi + (mid >> _U32) + (cross >> _U32), m * x
+
+
+def _philox_random(seed: int, streams: np.ndarray, start: int,
+                   count: int) -> np.ndarray:
+    """Draws start .. start + count - 1 (multiples of 4) of
+    ``np.random.Generator(np.random.Philox(key=[seed, i])).random()`` for
+    every i in ``streams``, shape (streams, count).  Draw k is word k % 4
+    of Philox4x64-10 at key (seed, i) and counter (k // 4 + 1, 0, 0, 0)."""
+    shape = (streams.size, count // 4)
+    key0 = np.full(shape, seed, dtype=np.uint64)
+    key1 = np.broadcast_to(streams.astype(np.uint64)[:, None], shape)
+    c0 = np.broadcast_to(np.arange(start // 4 + 1, (start + count) // 4 + 1,
+                                   dtype=np.uint64), shape)
+    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
+    for r in range(10):
+        if r:
+            key0, key1 = key0 + _PHILOX_W[0], key1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0
+    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(streams.size, count)
+    return (words >> _U11) * 2.0 ** -53
+
+
+def _initial_states(rho0: np.ndarray):
+    """Eigenstates of rho0 and the cumulative weights Generator.choice(p=)
+    samples them by; a pure state has a single one and draws nothing."""
     evals, evecs = np.linalg.eigh(rho0)
     keep = evals > 1e-12
-    weights = evals[keep] / evals[keep].sum()
-    states = evecs[:, keep].T.copy()
-    if len(weights) == 1:
-        return lambda rng: states[0]
-    return lambda rng: states[rng.choice(len(weights), p=weights)]
+    cdf = (evals[keep] / evals[keep].sum()).cumsum()
+    cdf /= cdf[-1]
+    return evecs[:, keep].T.copy(), cdf
 
 
-def _lockstep(prop: NoJumpPropagator, gen: Generator, sampler, seed: int,
+def _lockstep(prop: NoJumpPropagator, gen: Generator, initial, seed: int,
               indices: range, grid: np.ndarray, max_jumps: int, sums):
-    """Run streams ``indices`` together to grid[-1], summing grid states
-    into ``sums``.  A stream draws its initial state (mixed rho0 only),
-    then per round one xi, and a channel variate when it emits."""
-    state_sum, pop_sumsq = sums
-    rngs = [np.random.Generator(np.random.Philox(key=[seed, i]))
-            for i in indices]
-    psi = _unit(np.array([sampler(rng) for rng in rngs], dtype=complex))
-    horizon, live = grid[-1], np.arange(len(rngs))
-    t_now, cursor = np.zeros(live.size), np.zeros(live.size, dtype=int)
-    final = np.empty((live.size, 4), dtype=complex)
-    history = [[] for _ in rngs]  # (time, channel, post-jump state)
+    """Run streams ``indices`` together to grid[-1], adding their grid
+    states to ``sums``; return their jump counts, times, channels,
+    post-jump states (flat, in stream order) and final states.  A stream
+    draws its initial state (mixed rho0 only), then per round one xi, and
+    a channel variate when it emits."""
+    n, horizon = len(indices), grid[-1]
+    streams = np.arange(indices.start, indices.stop)
+    # draws[b, used[b]] is stream b's next variate.  When a live stream
+    # has fewer left than the two a round may take, every live stream's
+    # table doubles in one call: a call costs about as much for one
+    # stream as for hundreds, and lockstep streams run out together
+    draws, used = _philox_random(seed, streams, 0, 16), np.zeros(n, int)
+    states, cdf = initial
+    pick = np.zeros(n, int)
+    if cdf.size > 1:
+        pick, used[:] = cdf.searchsorted(draws[:, 0], side="right"), 1
+    psi = _unit(states[pick].astype(complex))
+    live, t_now, cursor = np.arange(n), np.zeros(n), np.zeros(n, dtype=int)
+    final = np.empty((n, 4), dtype=complex)
+    visited = np.empty((n, grid.size, 4), dtype=complex)
+    jumps = np.zeros(n, dtype=int)
+    # lane, time, channel and post-jump state of each round's jumps
+    history = [[np.empty(0, int)], [np.empty(0)], [np.empty(0, int)],
+               [np.empty((0, 4), complex)]]
     while live.size:
-        xi = np.array([rngs[b].random() for b in live])
+        width = draws.shape[1]
+        if used[live].max() + 2 > width:
+            draws = np.concatenate([draws, np.empty_like(draws)], axis=1)
+            draws[live, width:] = _philox_random(seed, streams[live], width,
+                                                 width)
+        xi = draws[live, used[live]]
+        used[live] += 1
         delay = prop.sample_jump(psi[live], xi, horizon - t_now[live])
         jumped = ~np.isnan(delay)
         t_stop = np.where(jumped, t_now[live] + delay, horizon)
-        # every grid point up to this stop, for every live lane at once
+        # every grid point up to this stop, for every live lane at once;
+        # each (lane, grid point) is visited exactly once
         stop = np.searchsorted(grid, t_stop + 1e-15, side="right")
         counts = stop - cursor[live]
         lane = np.repeat(live, counts)
         k = np.repeat(cursor[live] - np.cumsum(counts) + counts,
                       counts) + np.arange(lane.size)
-        phi = _unit(prop.state(psi[lane], grid[k] - t_now[lane]))
-        np.add.at(state_sum, k, phi[:, :, None] * phi.conj()[:, None, :])
-        np.add.at(pop_sumsq, k, np.real(phi.conj() * phi) ** 2)
+        visited[lane, k] = _unit(prop.state(psi[lane], grid[k] - t_now[lane]))
         cursor[live] = stop
         ended = live[~jumped]
         final[ended] = _unit(prop.state(psi[ended], horizon - t_now[ended]))
@@ -209,26 +288,28 @@ def _lockstep(prop: NoJumpPropagator, gen: Generator, sampler, seed: int,
         psi[live[total <= 0]] = _unit(phi[total <= 0])
         emit = total > 0
         lanes = live[emit]
-        u = np.array([rngs[b].random() for b in lanes])
+        u = draws[lanes, used[lanes]]
+        used[lanes] += 1
         # the draw of Generator.choice(p=weights / total)
         cdf = np.cumsum(weights[emit] / total[emit, None], axis=1)
         cdf /= cdf[:, -1:]
         pick = (cdf <= u[:, None]).sum(axis=1)
-        post = _unit(emptied[emit][np.arange(lanes.size), pick])
-        psi[lanes] = post
-        for b, t, c, state in zip(lanes, t_now[lanes], pick, post):
-            history[b].append((t, c, state))
-            if len(history[b]) > max_jumps:
-                raise TrajectoryBudgetError(
-                    f"trajectory {indices[b]} exceeded {max_jumps} jumps",
-                    partial=(indices[b], np.array([h[0] for h in history[b]])))
-    return [TrajectoryRecord(
-        seed=seed, index=indices[b],
-        jump_times=np.array([h[0] for h in hist], dtype=float),
-        channels=np.array([h[1] for h in hist], dtype=int),
-        post_jump_states=np.array([h[2] for h in hist],
-                                  dtype=complex).reshape(-1, 4),
-        final_state=final[b]) for b, hist in enumerate(history)]
+        psi[lanes] = _unit(emptied[emit][np.arange(lanes.size), pick])
+        for past, now in zip(history, (lanes, t_now[lanes], pick, psi[lanes])):
+            past.append(now)
+        jumps[lanes] += 1
+        if (jumps[lanes] > max_jumps).any():
+            b = lanes[jumps[lanes] > max_jumps][0]
+            lane, times = map(np.concatenate, history[:2])
+            raise TrajectoryBudgetError(
+                f"trajectory {indices[b]} exceeded {max_jumps} jumps",
+                partial=(indices[b], times[lane == b]))
+    state_sum, pop_sumsq = sums
+    state_sum += np.einsum("lki,lkj->kij", visited, visited.conj())
+    pop_sumsq += (np.real(visited.conj() * visited) ** 2).sum(axis=0)
+    lane, *flat = map(np.concatenate, history)
+    order = np.argsort(lane, kind="stable")
+    return (np.bincount(lane, minlength=n), *(h[order] for h in flat), final)
 
 
 def default_worker_count() -> int:
@@ -256,32 +337,55 @@ def run_trajectories(gen: Generator, rho0: np.ndarray, n_traj: int,
     """
     if n_traj < 1:
         raise ValidationError("n_traj must be at least 1")
+    if not 0 <= seed < 2 ** 63:
+        raise ValidationError("seed must satisfy 0 <= seed < 2**63")
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
         raise ValidationError("grid must be one-dimensional and increasing")
     rho0 = validate_density_matrix(rho0)
-    prop, sampler = NoJumpPropagator(gen), _initial_sampler(rho0)
+    prop, initial = NoJumpPropagator(gen), _initial_states(rho0)
     sums = np.zeros((grid.size, 4, 4), complex), np.zeros((grid.size, 4))
-    records, block = [], min(LANES, max(1, SAMPLES // grid.size))
+    blocks, block = [], min(LANES, max(1, SAMPLES // grid.size))
     for start in range(0, n_traj, block):
-        records += _lockstep(prop, gen, sampler, seed,
-                             range(start, min(start + block, n_traj)),
-                             grid, max_jumps, sums)
+        blocks.append(_lockstep(prop, gen, initial, seed,
+                                range(start, min(start + block, n_traj)),
+                                grid, max_jumps, sums))
+    counts, times, channels, post, final = map(np.concatenate, zip(*blocks))
     mean_states = sums[0] / n_traj
     mean_pop = np.real(np.einsum("kii->ki", mean_states))
     stderr = np.sqrt(np.maximum(sums[1] / n_traj - mean_pop ** 2, 0.0) / n_traj)
     widths = np.diff(grid)
-    bins = np.searchsorted(grid[1:], np.concatenate(
-        [r.jump_times for r in records]), side="left")
-    counts = np.bincount(bins[bins < widths.size], minlength=widths.size)
-    rate, rate_err = (counts / (n_traj * widths),
-                      np.sqrt(np.maximum(counts, 1.0)) / (n_traj * widths))
+    bins = np.searchsorted(grid[1:], times, side="left")
+    hits = np.bincount(bins[bins < widths.size], minlength=widths.size)
+    rate, rate_err = (hits / (n_traj * widths),
+                      np.sqrt(np.maximum(hits, 1.0)) / (n_traj * widths))
     if grid.size == 1:
         rate, rate_err = np.zeros(1), np.zeros(1)
     return JumpEnsemble(times=grid, mean_states=mean_states,
                         population_stderr=stderr, emission_rate=rate,
-                        emission_rate_stderr=rate_err, records=records,
-                        n_trajectories=n_traj)
+                        emission_rate_stderr=rate_err, n_trajectories=n_traj,
+                        seed=seed, jump_counts=counts, jump_times=times,
+                        channels=channels, post_jump_states=post,
+                        final_states=final)
+
+
+def _render_records(seeds, indices, counts, jump_times,
+                    channels) -> tuple[str, str]:
+    """records.jsonl and records.txt of records given per record and
+    with their jumps flat: JSON times as round(t, 9), text times %.9f."""
+    times = jump_times.tolist()
+    rounded = [repr(round(t, 9)) for t in times]
+    fixed = ("%.9f " * len(times) % tuple(times)).split()
+    picks = [str(c) for c in channels.tolist()]
+    jsonl, text, end = [], [], 0
+    for seed, index, count in zip(seeds, indices, np.asarray(counts).tolist()):
+        start, end = end, end + count
+        jsonl.append(f'{{"seed":{seed},"index":{index},"n_jumps":{count},'
+                     f'"jump_times":[{",".join(rounded[start:end])}],'
+                     f'"channels":[{",".join(picks[start:end])}]}}')
+        text.append(f"{seed}:{index} {count} "
+                    f"{','.join(fixed[start:end]) or '-'}")
+    return "\n".join(jsonl) + "\n", "\n".join(text) + "\n"
 
 
 def export_records(records) -> str:
@@ -291,9 +395,11 @@ def export_records(records) -> str:
     identity ``seed:index``, the jump count, and the comma-separated jump
     times at fixed nine-decimal precision ('-' when there were none).
     """
-    lines = []
-    for rec in records:
-        times = ",".join(f"{t:.9f}" for t in rec.jump_times)
-        lines.append(f"{rec.seed}:{rec.index} {rec.jump_times.size} "
-                     f"{times if times else '-'}")
-    return "\n".join(lines) + "\n"
+    records = list(records)
+    times = np.concatenate([np.empty(0)] + [r.jump_times for r in records])
+    channels = np.concatenate([np.empty(0, int)]
+                              + [r.channels for r in records])
+    return _render_records([r.seed for r in records],
+                           [r.index for r in records],
+                           [r.jump_times.size for r in records],
+                           times, channels)[1]

@@ -3,7 +3,6 @@
 Tables carry their fully resolved configuration in the metadata block, so
 any emitted CSV can be replayed bit-identically.
 """
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,22 +163,9 @@ def _run_jump(cfg: ScenarioConfig) -> ResultTable:
                         in enumerate(("gg", "ge", "eg", "ee"))})
     table = _table(columns)
     table.metadata["n_trajectories"] = ensemble.n_trajectories
-    table.sidecars["records.jsonl"] = records_jsonl(ensemble.records)
-    table.sidecars["records.txt"] = jumps.export_records(ensemble.records)
+    table.sidecars["records.jsonl"], table.sidecars["records.txt"] = (
+        ensemble.render_records())
     return table
-
-
-def records_jsonl(records) -> str:
-    """JSON-lines rendering of trajectory records."""
-    lines = []
-    for rec in records:
-        lines.append(json.dumps({
-            "seed": int(rec.seed), "index": int(rec.index),
-            "n_jumps": int(rec.jump_times.size),
-            "jump_times": [round(float(t), 9) for t in rec.jump_times],
-            "channels": [int(c) for c in rec.channels],
-        }, separators=(",", ":")))
-    return "\n".join(lines) + "\n"
 
 
 def _run_sweep(cfg: ScenarioConfig) -> ResultTable:

@@ -326,8 +326,13 @@ class TestCliEntry:
         "scenario = evolve\nseparation = 1e-105\nrabi = 1.0\n",
         "scenario = sweep\nsweep_key = separation\ngrid_start = 1e-120\n"
         "grid_stop = 0.5\ngrid_points = 21\n",
+        "scenario = steady\ngenerator = squeezed\nseparation = 1e-120\n",
+        "scenario = sweep\ngenerator = squeezed\nsweep_key = delta\n"
+        "separation = 1e-120\ngrid_start = -1.0\ngrid_stop = 1.0\n"
+        "grid_points = 21\n",
     ], ids=["steady-1e-120", "steady-1e-105", "evolve-1e-120",
-            "evolve-1e-105", "sweep-1e-120"])
+            "evolve-1e-105", "sweep-1e-120", "squeezed-1e-120",
+            "squeezed-sweep-through-delta-0"])
     def test_overflowing_shift_is_config_error(self, tmp_path, capsys,
                                                text):
         # Omega12 ~ r^-3 overflows to a non-finite value at these
@@ -337,6 +342,23 @@ class TestCliEntry:
         assert main(["run", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "configuration error" in err and "separation" in err
+
+    def test_secular_squeezed_model_needs_no_shift(self, tmp_path):
+        # a secular (delta != 0) squeezed Hamiltonian drops Omega12, so
+        # its overflow near contact must not stop the run
+        cfg = tmp_path / "secular.cfg"
+        cfg.write_text("scenario = steady\ngenerator = squeezed\n"
+                       "delta = 2\nseparation = 1e-120\n")
+        assert main(["run", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 63, 2 ** 64],
+                             ids=["-1", "2**63", "2**64"])
+    def test_seed_outside_philox_key_range_is_config_error(
+            self, tmp_path, capsys, seed):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(f"scenario = jump\nn_traj = 2\nseed = {seed}\n")
+        assert main(["run", str(cfg)]) == 1
+        assert "seed" in capsys.readouterr().err
 
     def test_config_out_path_used_without_flag(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

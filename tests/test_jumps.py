@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from conftest import random_density_matrix, random_pair
@@ -346,6 +347,45 @@ class TestTrajectories:
             _, rate = vacuum(p).reset(ref_states.states[k])
             tol = 4 * ens.emission_rate_stderr[k] + 0.05 * rate
             assert abs(ens.emission_rate[k] - rate) < tol
+
+
+class TestPhiloxDraws:
+    """The ensemble's array draws are numpy's per-stream Philox draws."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(0, 2 ** 63 - 1),
+           st.lists(st.integers(0, 2 ** 40), min_size=1, max_size=6),
+           st.integers(1, 40))
+    @example(0, [0], 1)
+    @example(2 ** 63 - 1, [2 ** 40, 0, 7], 40)
+    def test_draws_match_numpy_philox(self, seed, streams, count):
+        # count crosses 4-word blocks and the 16-draw initial table,
+        # whose extensions start at its width
+        want = np.array([np.random.Generator(np.random.Philox(
+            key=[seed, i])).random(count) for i in streams])
+        streams = np.array(streams)
+        width = -(-count // 4) * 4
+        got = jumps._philox_random(seed, streams, 0, width)[:, :count]
+        assert np.array_equal(got, want)
+        if count > 16:
+            tail = jumps._philox_random(seed, streams, 16, width - 16)
+            assert np.array_equal(tail[:, :count - 16], want[:, 16:])
+
+    def test_mixed_initial_state_drawn_like_generator_choice(self):
+        # with no dynamics, each trajectory ends in the eigenstate of rho0
+        # it drew, which must be Generator.choice(p=weights)'s pick
+        frozen = dynamics.Generator(h=np.zeros((4, 4)), rates=[0.0],
+                                    ops=np.zeros((1, 4, 4)),
+                                    scenario="frozen")
+        rho0 = random_density_matrix(np.random.default_rng(5))
+        evals, evecs = np.linalg.eigh(rho0)
+        ens = jumps.run_trajectories(frozen, rho0, 200, seed=17,
+                                     grid=np.linspace(0, 1, 3))
+        picks = [np.random.Generator(np.random.Philox(key=[17, i])).choice(
+            4, p=evals / evals.sum()) for i in range(200)]
+        assert len(set(picks)) == 4
+        assert np.abs(ens.final_states - evecs.T[picks]).max() < 1e-15
+        assert ens.jump_times.size == 0
 
 
 class TestExport:
