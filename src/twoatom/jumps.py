@@ -6,10 +6,8 @@ sampled exactly by inverting the no-jump probability built from its
 eigendecomposition, and each jump applies one of the generator's
 channels.  An ensemble runs in one process, its trajectories in lockstep
 (one vectorised solve of P(t) = xi per round).  Stream i of seed s draws
-the numbers np.random.Philox(key=[s, i]) would, computed as arrays of
-the counter-based function of (s, i, draw); all array operations are
-row-local, so a record depends only on (s, i), whatever the ensemble.
-Jumps are kept as flat arrays; TrajectoryRecords are built on request.
+Philox(key=[s, i])'s numbers as arrays; all array operations are
+row-local, so a record depends only on (s, i); records are built on read.
 """
 import os
 from dataclasses import dataclass
@@ -45,9 +43,8 @@ class TrajectoryRecord:
 
 @dataclass(frozen=True)
 class JumpEnsemble:
-    """Ensemble summary and flat jump records; run_trajectories explains
-    the errors.  Stream i's jumps are the next ``jump_counts[i]`` entries
-    of ``jump_times``, ``channels`` and ``post_jump_states``."""
+    """Ensemble summary and flat records, stream i's jumps the next
+    ``jump_counts[i]`` entries; run_trajectories explains the errors."""
     times: np.ndarray
     mean_states: np.ndarray
     population_stderr: np.ndarray
@@ -66,17 +63,15 @@ class JumpEnsemble:
         """One TrajectoryRecord per stream, built on each read."""
         ends = np.cumsum(self.jump_counts).tolist()
         return [TrajectoryRecord(
-            seed=self.seed, index=i, jump_times=self.jump_times[a:b],
-            channels=self.channels[a:b],
-            post_jump_states=self.post_jump_states[a:b],
-            final_state=self.final_states[i])
+            self.seed, i, self.jump_times[a:b], self.channels[a:b],
+            self.post_jump_states[a:b], self.final_states[i])
             for i, (a, b) in enumerate(zip([0] + ends[:-1], ends))]
 
-    def render_records(self) -> tuple[str, str]:
-        """The records.jsonl and records.txt renderings of the records."""
-        return _render_records([self.seed] * self.n_trajectories,
-                               range(self.n_trajectories), self.jump_counts,
-                               self.jump_times, self.channels)
+    def render_records(self) -> dict:
+        """The records.jsonl and records.txt renderings, by file name."""
+        return dict(zip(("records.jsonl", "records.txt"), _render_records(
+            [self.seed] * self.n_trajectories, range(self.n_trajectories),
+            self.jump_counts, self.jump_times, self.channels)))
 
 
 def _unit(vecs: np.ndarray) -> np.ndarray:
@@ -189,8 +184,8 @@ def _normalized_vector(psi: np.ndarray) -> np.ndarray:
 
 
 def _mulhilo(m: np.uint64, x: np.ndarray):
-    """High and low words of the 128-bit products m * x, from 32-bit
-    halves (np.uint64 operands throughout, so nothing promotes to float)."""
+    """High and low words of the 128-bit products m * x from 32-bit halves
+    (np.uint64 operands throughout, so nothing promotes to float)."""
     m_lo, m_hi = m & _LO32, m >> _U32
     x_lo, x_hi = x & _LO32, x >> _U32
     mid = m_hi * x_lo
@@ -200,65 +195,49 @@ def _mulhilo(m: np.uint64, x: np.ndarray):
 
 def _philox_random(seed: int, streams: np.ndarray, start: int,
                    count: int) -> np.ndarray:
-    """Draws start .. start + count - 1 (multiples of 4) of
-    ``np.random.Generator(np.random.Philox(key=[seed, i])).random()`` for
-    every i in ``streams``, shape (streams, count).  Draw k is word k % 4
+    """random() draws start .. start + count - 1 (multiples of 4) of
+    Philox(key=[seed, i]), a row per i in ``streams``: draw k is word k % 4
     of Philox4x64-10 at key (seed, i) and counter (k // 4 + 1, 0, 0, 0)."""
-    shape = (streams.size, count // 4)
-    key0 = np.full(shape, seed, dtype=np.uint64)
-    key1 = np.broadcast_to(streams.astype(np.uint64)[:, None], shape)
-    c0 = np.broadcast_to(np.arange(start // 4 + 1, (start + count) // 4 + 1,
-                                   dtype=np.uint64), shape)
-    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
-    for r in range(10):
-        if r:
-            key0, key1 = key0 + _PHILOX_W[0], key1 + _PHILOX_W[1]
+    key0, key1 = np.full(1, seed, np.uint64), streams.astype(np.uint64)[:, None]
+    c0 = np.arange(start // 4 + 1, (start + count) // 4 + 1, dtype=np.uint64)
+    c0 = np.broadcast_to(c0, (streams.size, count // 4))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for _ in range(10):
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0
+        key0, key1 = key0 + _PHILOX_W[0], key1 + _PHILOX_W[1]
     words = np.stack([c0, c1, c2, c3], axis=-1).reshape(streams.size, count)
     return (words >> _U11) * 2.0 ** -53
 
 
-def _initial_states(rho0: np.ndarray):
-    """Eigenstates of rho0 and the cumulative weights Generator.choice(p=)
-    samples them by; a pure state has a single one and draws nothing."""
-    evals, evecs = np.linalg.eigh(rho0)
+def _choice(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The index Generator.choice(p=p) draws with variate u, row by row."""
+    cdf = p.cumsum(axis=-1)
+    return (cdf / cdf[..., -1:] <= u[..., None]).sum(axis=-1)
+
+
+def _lockstep(prop: NoJumpPropagator, gen: Generator, rho0, seed: int,
+              streams: np.ndarray, grid: np.ndarray, max_jumps: int, sums):
+    """Run ``streams`` together to grid[-1], adding their grid states to
+    ``sums``; return their jump counts, flat jumps and last grid states.  A
+    stream draws its initial state (mixed rho0 only), then per round one
+    xi, and a channel variate when it emits."""
+    n, horizon = streams.size, grid[-1]
+    # draws[b, used[b]] is stream b's next variate; when one runs short,
+    # all live rows double in one call, costing about what one row would
+    draws = _philox_random(seed, streams, 0, 16)
+    evals, evecs = np.linalg.eigh(rho0)  # a mixed rho0 spends draw 0 here
     keep = evals > 1e-12
-    cdf = (evals[keep] / evals[keep].sum()).cumsum()
-    cdf /= cdf[-1]
-    return evecs[:, keep].T.copy(), cdf
-
-
-def _lockstep(prop: NoJumpPropagator, gen: Generator, initial, seed: int,
-              indices: range, grid: np.ndarray, max_jumps: int, sums):
-    """Run streams ``indices`` together to grid[-1], adding their grid
-    states to ``sums``; return their jump counts, times, channels,
-    post-jump states (flat, in stream order) and final states.  A stream
-    draws its initial state (mixed rho0 only), then per round one xi, and
-    a channel variate when it emits."""
-    n, horizon = len(indices), grid[-1]
-    streams = np.arange(indices.start, indices.stop)
-    # draws[b, used[b]] is stream b's next variate.  When a live stream
-    # has fewer left than the two a round may take, every live stream's
-    # table doubles in one call: a call costs about as much for one
-    # stream as for hundreds, and lockstep streams run out together
-    draws, used = _philox_random(seed, streams, 0, 16), np.zeros(n, int)
-    states, cdf = initial
-    pick = np.zeros(n, int)
-    if cdf.size > 1:
-        pick, used[:] = cdf.searchsorted(draws[:, 0], side="right"), 1
-    psi = _unit(states[pick].astype(complex))
+    psi = _unit(evecs[:, keep].T[_choice(evals[keep] / evals[keep].sum(),
+                                         draws[:, 0])].astype(complex))
+    used = np.full(n, int(keep.sum() > 1))
     live, t_now, cursor = np.arange(n), np.zeros(n), np.zeros(n, dtype=int)
-    final = np.empty((n, 4), dtype=complex)
     visited = np.empty((n, grid.size, 4), dtype=complex)
     jumps = np.zeros(n, dtype=int)
-    # lane, time, channel and post-jump state of each round's jumps
-    history = [[np.empty(0, int)], [np.empty(0)], [np.empty(0, int)],
-               [np.empty((0, 4), complex)]]
+    history = [[], [], [], []]  # lane, time, channel, state of each jump
     while live.size:
-        width = draws.shape[1]
-        if used[live].max() + 2 > width:
+        if used[live].max() + 2 > (width := draws.shape[1]):
             draws = np.concatenate([draws, np.empty_like(draws)], axis=1)
             draws[live, width:] = _philox_random(seed, streams[live], width,
                                                  width)
@@ -276,8 +255,6 @@ def _lockstep(prop: NoJumpPropagator, gen: Generator, initial, seed: int,
                       counts) + np.arange(lane.size)
         visited[lane, k] = _unit(prop.state(psi[lane], grid[k] - t_now[lane]))
         cursor[live] = stop
-        ended = live[~jumped]
-        final[ended] = _unit(prop.state(psi[ended], horizon - t_now[ended]))
         live = live[jumped]
         t_now[live] = t_stop[jumped]
         phi = prop.state(psi[live], delay[jumped])
@@ -288,12 +265,9 @@ def _lockstep(prop: NoJumpPropagator, gen: Generator, initial, seed: int,
         psi[live[total <= 0]] = _unit(phi[total <= 0])
         emit = total > 0
         lanes = live[emit]
-        u = draws[lanes, used[lanes]]
+        pick = _choice(weights[emit] / total[emit, None],
+                       draws[lanes, used[lanes]])
         used[lanes] += 1
-        # the draw of Generator.choice(p=weights / total)
-        cdf = np.cumsum(weights[emit] / total[emit, None], axis=1)
-        cdf /= cdf[:, -1:]
-        pick = (cdf <= u[:, None]).sum(axis=1)
         psi[lanes] = _unit(emptied[emit][np.arange(lanes.size), pick])
         for past, now in zip(history, (lanes, t_now[lanes], pick, psi[lanes])):
             past.append(now)
@@ -302,14 +276,14 @@ def _lockstep(prop: NoJumpPropagator, gen: Generator, initial, seed: int,
             b = lanes[jumps[lanes] > max_jumps][0]
             lane, times = map(np.concatenate, history[:2])
             raise TrajectoryBudgetError(
-                f"trajectory {indices[b]} exceeded {max_jumps} jumps",
-                partial=(indices[b], times[lane == b]))
-    state_sum, pop_sumsq = sums
-    state_sum += np.einsum("lki,lkj->kij", visited, visited.conj())
-    pop_sumsq += (np.real(visited.conj() * visited) ** 2).sum(axis=0)
+                f"trajectory {streams[b]} exceeded {max_jumps} jumps",
+                partial=(int(streams[b]), times[lane == b]))
+    sums[0] += np.einsum("lki,lkj->kij", visited, visited.conj())
+    sums[1] += (np.real(visited.conj() * visited) ** 2).sum(axis=0)
     lane, *flat = map(np.concatenate, history)
     order = np.argsort(lane, kind="stable")
-    return (np.bincount(lane, minlength=n), *(h[order] for h in flat), final)
+    return (np.bincount(lane, minlength=n), *(h[order] for h in flat),
+            visited[:, -1])
 
 
 def default_worker_count() -> int:
@@ -337,19 +311,15 @@ def run_trajectories(gen: Generator, rho0: np.ndarray, n_traj: int,
     """
     if n_traj < 1:
         raise ValidationError("n_traj must be at least 1")
-    if not 0 <= seed < 2 ** 63:
-        raise ValidationError("seed must satisfy 0 <= seed < 2**63")
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
         raise ValidationError("grid must be one-dimensional and increasing")
     rho0 = validate_density_matrix(rho0)
-    prop, initial = NoJumpPropagator(gen), _initial_states(rho0)
-    sums = np.zeros((grid.size, 4, 4), complex), np.zeros((grid.size, 4))
-    blocks, block = [], min(LANES, max(1, SAMPLES // grid.size))
-    for start in range(0, n_traj, block):
-        blocks.append(_lockstep(prop, gen, initial, seed,
-                                range(start, min(start + block, n_traj)),
-                                grid, max_jumps, sums))
+    prop = NoJumpPropagator(gen)
+    sums = [np.zeros((grid.size, 4, 4), complex), np.zeros((grid.size, 4))]
+    block = min(LANES, max(1, SAMPLES // grid.size))
+    blocks = [_lockstep(prop, gen, rho0, seed, np.arange(n_traj)[i:i + block],
+                        grid, max_jumps, sums) for i in range(0, n_traj, block)]
     counts, times, channels, post, final = map(np.concatenate, zip(*blocks))
     mean_states = sums[0] / n_traj
     mean_pop = np.real(np.einsum("kii->ki", mean_states))
@@ -371,20 +341,18 @@ def run_trajectories(gen: Generator, rho0: np.ndarray, n_traj: int,
 
 def _render_records(seeds, indices, counts, jump_times,
                     channels) -> tuple[str, str]:
-    """records.jsonl and records.txt of records given per record and
-    with their jumps flat: JSON times as round(t, 9), text times %.9f."""
+    """records.jsonl and records.txt of records whose jumps are flat: JSON
+    times as round(t, 9), text times as %.9f."""
     times = jump_times.tolist()
     rounded = [repr(round(t, 9)) for t in times]
     fixed = ("%.9f " * len(times) % tuple(times)).split()
-    picks = [str(c) for c in channels.tolist()]
-    jsonl, text, end = [], [], 0
-    for seed, index, count in zip(seeds, indices, np.asarray(counts).tolist()):
-        start, end = end, end + count
-        jsonl.append(f'{{"seed":{seed},"index":{index},"n_jumps":{count},'
-                     f'"jump_times":[{",".join(rounded[start:end])}],'
-                     f'"channels":[{",".join(picks[start:end])}]}}')
-        text.append(f"{seed}:{index} {count} "
-                    f"{','.join(fixed[start:end]) or '-'}")
+    picks, jsonl, text, b = list(map(str, channels.tolist())), [], [], 0
+    for seed, index, n in zip(seeds, indices, np.asarray(counts).tolist()):
+        a, b = b, b + n
+        jsonl.append(f'{{"seed":{seed},"index":{index},"n_jumps":{n},'
+                     f'"jump_times":[{",".join(rounded[a:b])}],'
+                     f'"channels":[{",".join(picks[a:b])}]}}')
+        text.append(f"{seed}:{index} {n} {','.join(fixed[a:b]) or '-'}")
     return "\n".join(jsonl) + "\n", "\n".join(text) + "\n"
 
 
@@ -396,10 +364,8 @@ def export_records(records) -> str:
     times at fixed nine-decimal precision ('-' when there were none).
     """
     records = list(records)
-    times = np.concatenate([np.empty(0)] + [r.jump_times for r in records])
-    channels = np.concatenate([np.empty(0, int)]
-                              + [r.channels for r in records])
-    return _render_records([r.seed for r in records],
-                           [r.index for r in records],
-                           [r.jump_times.size for r in records],
-                           times, channels)[1]
+    return _render_records(
+        [r.seed for r in records], [r.index for r in records],
+        [r.jump_times.size for r in records],
+        np.concatenate([np.empty(0)] + [r.jump_times for r in records]),
+        np.concatenate([np.empty(0, int)] + [r.channels for r in records]))[1]

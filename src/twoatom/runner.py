@@ -163,8 +163,7 @@ def _run_jump(cfg: ScenarioConfig) -> ResultTable:
                         in enumerate(("gg", "ge", "eg", "ee"))})
     table = _table(columns)
     table.metadata["n_trajectories"] = ensemble.n_trajectories
-    table.sidecars["records.jsonl"], table.sidecars["records.txt"] = (
-        ensemble.render_records())
+    table.sidecars.update(ensemble.render_records())
     return table
 
 
