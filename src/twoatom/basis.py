@@ -2,10 +2,7 @@
 
 For identical atoms the one-excitation eigenstates are the maximally
 entangled symmetric and antisymmetric combinations; a frequency splitting
-mixes them with real coefficients alpha, beta.  A second, independent
-decomposition uses complex superposition operators built from arbitrary
-normalized coefficients (u, v), which is the natural language for drives
-with position-dependent phases and for unequal decay rates.
+mixes them with real coefficients alpha, beta.
 """
 from dataclasses import dataclass
 
@@ -38,17 +35,6 @@ class CollectiveBasis:
         return np.column_stack([KET_GG, mid_s, mid_a, KET_EE])
 
 
-@dataclass(frozen=True)
-class SuperpositionCoeffs:
-    """Normalized complex coefficients of the superposition operators."""
-    u: complex
-    v: complex
-
-    def __post_init__(self):
-        if abs(abs(self.u) ** 2 + abs(self.v) ** 2 - 1.0) > 1e-12:
-            raise ValidationError("|u|^2 + |v|^2 must equal 1")
-
-
 def build_basis(pair: geometry.AtomPairConfig) -> CollectiveBasis:
     """Diagonalize the one-excitation block for the given pair; a stacked
     pair gives arrays alpha, beta and w (``matrix`` takes one point).
@@ -65,71 +51,6 @@ def build_basis(pair: geometry.AtomPairConfig) -> CollectiveBasis:
     return CollectiveBasis(alpha=_value(np.where(bare, 1.0, d / norm)),
                            beta=_value(omega12 / norm), w=w,
                            energies=(0.0, +w, -w, 0.0))
-
-
-def equal_coeffs() -> SuperpositionCoeffs:
-    """The balanced real choice u = v = 1/sqrt(2)."""
-    r = 1 / np.sqrt(2)
-    return SuperpositionCoeffs(u=r, v=r)
-
-
-def decay_weighted_coeffs(pair: geometry.AtomPairConfig) -> SuperpositionCoeffs:
-    """Coefficients weighted by the square roots of the decay rates.
-
-    This is the choice under which the antisymmetric superposition
-    decouples from the bath whenever Gamma12 = sqrt(gamma1*gamma2).
-    """
-    total = pair.gamma1 + pair.gamma2
-    return SuperpositionCoeffs(u=np.sqrt(pair.gamma1 / total),
-                               v=np.sqrt(pair.gamma2 / total))
-
-
-def drive_weighted_coeffs(drive: geometry.DriveField,
-                          pair: geometry.AtomPairConfig) -> SuperpositionCoeffs:
-    """Coefficients proportional to the local Rabi frequencies.
-
-    For a running wave this reduces to pure position phases; for a
-    standing wave to the real cosine amplitudes.
-    """
-    om1, om2 = geometry.rabi_at_atoms(drive, pair)
-    norm = np.sqrt(abs(om1) ** 2 + abs(om2) ** 2)
-    if norm == 0:
-        raise ValidationError("drive-weighted coefficients need a nonzero drive")
-    return SuperpositionCoeffs(u=om1 / norm, v=om2 / norm)
-
-
-def superposition_rates(coeffs: SuperpositionCoeffs,
-                        pair: geometry.AtomPairConfig
-                        ) -> tuple[complex, complex, complex, complex]:
-    """Damping matrix (Gss, Gaa, Gas, Gsa) of the superposition operators.
-
-    Rates are quoted in the Lindblad normalization in which the balanced
-    identical-atom choice gives the familiar superradiant/subradiant pair
-    gamma +/- Gamma12.
-    """
-    u, v = complex(coeffs.u), complex(coeffs.v)
-    g1, g2 = pair.gamma1, pair.gamma2
-    g12 = geometry.collective_damping(pair)
-    uv = u * np.conj(v)
-    gss = abs(u) ** 2 * g1 + abs(v) ** 2 * g2 + (uv + np.conj(uv)) * g12
-    gaa = abs(v) ** 2 * g1 + abs(u) ** 2 * g2 - (uv + np.conj(uv)) * g12
-    gas = uv * g1 - np.conj(uv) * g2 - (abs(u) ** 2 - abs(v) ** 2) * g12
-    gsa = np.conj(uv) * g1 - uv * g2 - (abs(u) ** 2 - abs(v) ** 2) * g12
-    return complex(gss), complex(gaa), complex(gas), complex(gsa)
-
-
-def coherent_couplings(coeffs: SuperpositionCoeffs,
-                       pair: geometry.AtomPairConfig,
-                       drive: geometry.DriveField) -> tuple[complex, complex]:
-    """Level shift and coherent cross-coupling (shift, coupling) of the
-    symmetric/antisymmetric superpositions."""
-    u, v = complex(coeffs.u), complex(coeffs.v)
-    omega12 = geometry.dipole_dipole_shift(pair)
-    vu = v * np.conj(u)
-    shift = (vu + np.conj(vu)) * omega12
-    coupling = (abs(u) ** 2 - abs(v) ** 2) * omega12 \
-        + (np.conj(v) * u - v * np.conj(u)) * drive.detuning
-    return complex(shift), complex(coupling)
 
 
 def basis_transform(direction: str, rho: np.ndarray,

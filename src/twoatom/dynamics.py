@@ -337,7 +337,7 @@ def steady_states(gen: Generator, reference: np.ndarray | None = None
     degenerate (the Dicke pair conserves the total spin) the state is the
     infinite-time limit reached from the ground state, or from the
     supplied reference state, computed by spectral projection onto the
-    kernel.
+    kernel; its residual ||L rho|| is ranked against the same scale.
     """
     start = vec(np.diag([1.0, 0, 0, 0]) if reference is None else reference)
     hc = gen.conditional_hamiltonian.reshape(-1, 4, 4)
@@ -371,11 +371,13 @@ def steady_states(gen: Generator, reference: np.ndarray | None = None
         rho = rho / tr[:, None, None]
         rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
         projected = rho[degenerate].transpose(0, 2, 1).reshape(-1, 16)
-        residual = np.abs(np.einsum("kab,kb->ka", lmats[degenerate],
-                                    projected)).max(initial=0.0)
+        residual = (np.abs(np.einsum("kab,kb->ka", lmats[degenerate],
+                                     projected)).max(axis=1, initial=0.0)
+                    / scales[chunk][degenerate]).max(initial=0.0)
         if residual > 1e-8:
             raise SteadyStateError(f"projected state is not stationary "
-                                   f"(residual {residual:.2e})")
+                                   f"(residual {residual:.2e} times the "
+                                   f"total channel rate)")
         states[chunk], flags[chunk] = rho, degenerate
     return states.reshape(gen.shape + (4, 4)), flags.reshape(gen.shape)
 

@@ -31,7 +31,3 @@ class TrajectoryBudgetError(TwoAtomError, RuntimeError):
 
 class UndefinedValueError(TwoAtomError, ArithmeticError):
     """A normalized observable is undefined (zero denominator)."""
-
-
-class ValidityWarning(UserWarning):
-    """A closed-form expression is evaluated outside its validity regime."""

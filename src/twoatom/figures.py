@@ -246,15 +246,17 @@ def _fig20():
 
 
 def _fig21():
-    from .analytic import entangled_eigenstates
+    rc = basis.basis_transform("to_collective", np.stack(
+        [_squeezed_states(0.5, quantum) for _, quantum in _BATH_KINDS]))
+    rgg, rss, raa, ree = np.moveaxis(rc.diagonal(0, -2, -1).real, -1, 0)
+    # the stationary states hold populations and a g-e coherence only, so
+    # the entangled eigenstates are the g-e block's two, then |s> and |a>
+    split = np.sqrt((rgg - ree) ** 2 + 4.0 * np.abs(rc[..., 3, 0]) ** 2)
+    pops = (0.5 * (rgg + ree) + 0.5 * split, 0.5 * (rgg + ree) - 0.5 * split,
+            rss, raa)
     cols = {"separation": _SQUEEZED_SEPARATIONS}
-    for tag, quantum in _BATH_KINDS:
-        states = _squeezed_states(0.5, quantum)
-        pops = np.array([[population for _, population, _ in
-                          entangled_eigenstates(rc)] for rc in
-                         basis.basis_transform("to_collective", states)])
-        for k, label in enumerate(("P1", "P2", "P3", "P4")):
-            cols[f"{label}_{tag}"] = pops[:, k]
+    for k, (tag, _) in enumerate(_BATH_KINDS):
+        cols.update({f"P{j + 1}_{tag}": p[k] for j, p in enumerate(pops)})
     return _table(cols,
                   "populations of the entangled eigenstates vs separation")
 

@@ -208,19 +208,3 @@ def effective_squeezing(res: SqueezedReservoir):
 def beyond_two_photon_bound(n, m_magnitude):
     """Where |m|^2 exceeds n(n+1) by more than rounding, elementwise."""
     return m_magnitude ** 2 > n * (n + 1) * (1 + 1e-12) + 1e-300
-
-
-def classify_squeezing(n: float, m_magnitude: float) -> str:
-    """Classify two-photon correlations: vacuum, classical, quantum, invalid.
-
-    A thermal field (m = 0, n > 0) counts as classical.
-    """
-    if n < 0 or m_magnitude < 0:
-        raise ValidationError("n and m must be nonnegative")
-    if n == 0 and m_magnitude == 0:
-        return "vacuum"
-    if beyond_two_photon_bound(n, m_magnitude):
-        return "invalid"
-    if m_magnitude <= n:
-        return "classical"
-    return "quantum"

@@ -68,10 +68,22 @@ class JumpEnsemble:
             for i, (a, b) in enumerate(zip([0] + ends[:-1], ends))]
 
     def render_records(self) -> dict:
-        """The records.jsonl and records.txt renderings, by file name."""
-        return dict(zip(("records.jsonl", "records.txt"), _render_records(
-            [self.seed] * self.n_trajectories, range(self.n_trajectories),
-            self.jump_counts, self.jump_times, self.channels)))
+        """The records.jsonl and records.txt renderings, by file name: JSON
+        times as round(t, 9), text times as %.9f."""
+        times = self.jump_times.tolist()
+        rounded = [repr(round(t, 9)) for t in times]
+        fixed = ("%.9f " * len(times) % tuple(times)).split()
+        picks = list(map(str, self.channels.tolist()))
+        jsonl, text, b = [], [], 0
+        for index, n in enumerate(self.jump_counts.tolist()):
+            a, b = b, b + n
+            jsonl.append(f'{{"seed":{self.seed},"index":{index},"n_jumps":{n},'
+                         f'"jump_times":[{",".join(rounded[a:b])}],'
+                         f'"channels":[{",".join(picks[a:b])}]}}')
+            text.append(f"{self.seed}:{index} {n} "
+                        f"{','.join(fixed[a:b]) or '-'}")
+        return {"records.jsonl": "\n".join(jsonl) + "\n",
+                "records.txt": "\n".join(text) + "\n"}
 
 
 def _unit(vecs: np.ndarray) -> np.ndarray:
@@ -98,6 +110,9 @@ class NoJumpPropagator:
                 f"eigenvector condition number {cond:.2e} exceeds "
                 f"{MAX_EIGVEC_COND:.0e}")
         self.evals = evals
+        # the model's time unit: absolute time tolerances scale with it
+        total = gen.rates.sum()
+        self.unit = 2.0 / total if total > 0 else 1.0
         self.vmat = vmat
         self.vinv = np.linalg.inv(vmat)
         self.gram = vmat.conj().T @ vmat
@@ -135,7 +150,7 @@ class NoJumpPropagator:
         and horizons (B,); NaN where P(horizon) >= xi (no jump).  Newton
         steps on log P - log xi use the analytic waiting density; a step
         leaving the bracket or not halving the one before last bisects it.
-        A row stops once its step is below XTOL + RTOL * t."""
+        A row stops once its step is below XTOL * unit + RTOL * t."""
         delay = np.full(np.shape(xi), np.nan)
         rows = np.flatnonzero(self.survival(psi0, horizon) < xi)
         w = self._weights(psi0[rows])
@@ -154,33 +169,13 @@ class NoJumpPropagator:
                           & (np.abs(step) <= 0.5 * np.abs(before)))
                 step = np.where(newton, step, t - 0.5 * (lo + hi))
                 t = t - step
-                done = np.abs(step) <= XTOL + RTOL * t
+                done = np.abs(step) <= XTOL * self.unit + RTOL * t
                 delay[rows[done]] = t[done]
                 keep = ~done
                 rows, w, dw, target = rows[keep], w[keep], dw[keep], target[keep]
                 lo, hi, t = lo[keep], hi[keep], t[keep]
                 last, before = step[keep], last[keep]
         return delay
-
-
-def no_jump_probability(psi0: np.ndarray, t, gen: Generator):
-    """Probability of detecting no jump up to time t from state psi0."""
-    return NoJumpPropagator(gen).survival(_normalized_vector(psi0), t)
-
-
-def waiting_time_density(psi0: np.ndarray, t, gen: Generator):
-    """Density of the first-jump delay from state psi0."""
-    return NoJumpPropagator(gen).waiting_density(_normalized_vector(psi0), t)
-
-
-def _normalized_vector(psi: np.ndarray) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    if psi.shape != (4,):
-        raise ValidationError("state vector must have length 4")
-    norm = np.linalg.norm(psi)
-    if norm == 0:
-        raise ValidationError("state vector must be nonzero")
-    return psi / norm
 
 
 def _mulhilo(m: np.uint64, x: np.ndarray):
@@ -248,7 +243,8 @@ def _lockstep(prop: NoJumpPropagator, gen: Generator, rho0, seed: int,
         t_stop = np.where(jumped, t_now[live] + delay, horizon)
         # every grid point up to this stop, for every live lane at once;
         # each (lane, grid point) is visited exactly once
-        stop = np.searchsorted(grid, t_stop + 1e-15, side="right")
+        stop = np.searchsorted(grid, t_stop + 1e-15 * prop.unit,
+                               side="right")
         counts = stop - cursor[live]
         lane = np.repeat(live, counts)
         k = np.repeat(cursor[live] - np.cumsum(counts) + counts,
@@ -283,7 +279,7 @@ def _lockstep(prop: NoJumpPropagator, gen: Generator, rho0, seed: int,
     lane, *flat = map(np.concatenate, history)
     order = np.argsort(lane, kind="stable")
     return (np.bincount(lane, minlength=n), *(h[order] for h in flat),
-            visited[:, -1])
+            visited[:, -1].copy())
 
 
 def default_worker_count() -> int:
@@ -296,7 +292,7 @@ def default_worker_count() -> int:
 
 
 def run_trajectories(gen: Generator, rho0: np.ndarray, n_traj: int,
-                     seed: int, grid: np.ndarray, workers: int | None = None,
+                     seed: int, grid: np.ndarray,
                      max_jumps: int = MAX_JUMPS_DEFAULT) -> JumpEnsemble:
     """Unravel the generator into an ensemble of jump trajectories and
     average it on the grid.
@@ -305,7 +301,7 @@ def run_trajectories(gen: Generator, rho0: np.ndarray, n_traj: int,
     Monte Carlo rate.  ``population_stderr`` is the sample standard error:
     when jumps are rare most trajectories are identical and it collapses
     toward 0, so a "within k standard errors" gate needs a floor.  Jump
-    rates come from the jump counts per grid bin; ``workers`` is unread.
+    rates come from the jump counts per grid bin.
     Of the trajectories exceeding ``max_jumps`` in one round, the lowest
     index raises ``TrajectoryBudgetError``, partial = (index, jump times).
     """
@@ -337,35 +333,3 @@ def run_trajectories(gen: Generator, rho0: np.ndarray, n_traj: int,
                         seed=seed, jump_counts=counts, jump_times=times,
                         channels=channels, post_jump_states=post,
                         final_states=final)
-
-
-def _render_records(seeds, indices, counts, jump_times,
-                    channels) -> tuple[str, str]:
-    """records.jsonl and records.txt of records whose jumps are flat: JSON
-    times as round(t, 9), text times as %.9f."""
-    times = jump_times.tolist()
-    rounded = [repr(round(t, 9)) for t in times]
-    fixed = ("%.9f " * len(times) % tuple(times)).split()
-    picks, jsonl, text, b = list(map(str, channels.tolist())), [], [], 0
-    for seed, index, n in zip(seeds, indices, np.asarray(counts).tolist()):
-        a, b = b, b + n
-        jsonl.append(f'{{"seed":{seed},"index":{index},"n_jumps":{n},'
-                     f'"jump_times":[{",".join(rounded[a:b])}],'
-                     f'"channels":[{",".join(picks[a:b])}]}}')
-        text.append(f"{seed}:{index} {n} {','.join(fixed[a:b]) or '-'}")
-    return "\n".join(jsonl) + "\n", "\n".join(text) + "\n"
-
-
-def export_records(records) -> str:
-    """Line-oriented text export of trajectory records.
-
-    One record per line with three space-separated fields: the stream
-    identity ``seed:index``, the jump count, and the comma-separated jump
-    times at fixed nine-decimal precision ('-' when there were none).
-    """
-    records = list(records)
-    return _render_records(
-        [r.seed for r in records], [r.index for r in records],
-        [r.jump_times.size for r in records],
-        np.concatenate([np.empty(0)] + [r.jump_times for r in records]),
-        np.concatenate([np.empty(0, int)] + [r.channels for r in records]))[1]

@@ -147,17 +147,6 @@ def g2_tau(gen: Generator, rho_start: np.ndarray,
     return CorrelationSeries(taus=taus, values=raw / i2)
 
 
-def mandel_q(g2_value: float, efficiency: float, window: float) -> float:
-    """Photon-statistics parameter q*T*(g2 - 1) of a counting experiment."""
-    if g2_value < 0:
-        raise ValidationError("g2 must be nonnegative")
-    if not 0 < efficiency <= 1:
-        raise ValidationError("efficiency must lie in (0, 1]")
-    if window <= 0:
-        raise ValidationError("counting window must be positive")
-    return efficiency * window * (g2_value - 1.0)
-
-
 def quadrature_variance(rho: np.ndarray, pair: geometry.AtomPairConfig,
                         alpha: float,
                         geom: DetectionGeometry) -> float | np.ndarray:
@@ -209,22 +198,3 @@ def total_spin_squared(rho: np.ndarray) -> float | np.ndarray:
     rho = validate_density_matrix(rho)
     p_anti = np.einsum("i,...ij,j->...", KET_A.conj(), rho, KET_A).real
     return _value(2.0 - 2.0 * p_anti)
-
-
-def field_variance_mapping(res: geometry.SqueezedReservoir,
-                           rho_ss: np.ndarray) -> tuple[float, float]:
-    """(incident, emitted) squeezed quadrature variances, in units of the
-    field constant, both evaluated at the squeezed quadrature phase.
-
-    The emitted variance is read off the stationary collective-state
-    populations and the two-photon coherence.
-    """
-    rho_ss = validate_density_matrix(rho_ss)
-    n_eff, m_eff = geometry.effective_squeezing(res)
-    incident = 2.0 * (n_eff - m_eff)
-    from .basis import basis_transform
-    rc = basis_transform("to_collective", rho_ss)
-    rho_u = (rc[3, 0] * np.exp(-1j * res.squeeze_phase)
-             + rc[0, 3] * np.exp(1j * res.squeeze_phase)).real
-    emitted = 2.0 * rc[1, 1].real + 2.0 * rc[3, 3].real - abs(rho_u)
-    return incident, emitted

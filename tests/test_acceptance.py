@@ -47,7 +47,7 @@ def test_criterion_01_dicke_strong_field_g2():
     series = observables.g2_tau(gen, rho,
                                 geometry.AtomPairConfig(separation=0.0),
                                 perp(), taus)
-    ref = analytic.dressed_g2(taus, GAMMA, rabi)
+    ref = oracles.dressed_g2(taus, GAMMA, rabi)
     assert series.values[0] == pytest.approx(0.75, abs=1e-6)
     assert np.abs(series.values - ref).max() < 1e-6
     _report(1, "dressed-model g2 matches the closed form to 1e-6",
@@ -136,8 +136,8 @@ def test_criterion_04b_quantum_beat_closed_form_rms():
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ref = analytic.beat_intensity_frequency_split(grid, GAMMA, g12,
-                                                      omega12, pair.delta)
+        ref = oracles.beat_intensity_frequency_split(grid, GAMMA, g12,
+                                                     omega12, pair.delta)
     rms = math.sqrt(float(np.mean((intensity - ref) ** 2)))
     print(f"[ACCEPTANCE] criterion 4b: RMS(I - closed form)/gamma = {rms:.4f}"
           f" (tolerance 0.05)")
@@ -172,7 +172,7 @@ def test_criterion_05_transient_squeezing():
     got = np.array([
         observables.quadrature_variance(series2.states[k], pair, 0.0, perp())
         for k in range(len(grid2))])
-    ref = analytic.transient_variance_inphase(grid2, GAMMA, 100.0)
+    ref = oracles.transient_variance_inphase(grid2, GAMMA, 100.0)
     assert np.abs(got - ref).max() < 1e-3
     _report(5, f"variance dip {variances.min():.5f} vs -1/16; dressed "
                f"pointwise dev {np.abs(got - ref).max():.1e}",
@@ -200,7 +200,7 @@ def test_criterion_06_squeezed_vacuum_steady_states():
             rho, _ = dynamics.steady_state(
                 dynamics.build_squeezed(pair_split, res))
             rc = basis.basis_transform("to_collective", rho)
-            ref = analytic.squeezed_steady_secular(n, m, a)
+            ref = oracles.squeezed_steady_secular(n, m, a)
             dev = max(abs(rc[3, 3].real - ref["ree"]),
                       abs(rc[1, 1].real - ref["rss"]),
                       abs(rc[2, 2].real - ref["raa"]),
@@ -212,13 +212,13 @@ def test_criterion_06_squeezed_vacuum_steady_states():
             dynamics.build_squeezed(dicke, res))
         assert degenerate
         rc = basis.basis_transform("to_collective", rho)
-        ref = analytic.squeezed_steady_dicke(n, m)
+        ref = oracles.squeezed_steady_dicke(n, m)
         assert abs(rc[1, 1].real) < 1e-10          # symmetric state empty
         assert rc[3, 3].real == pytest.approx(ref["ree"], abs=1e-8)
         res_c = geometry.SqueezedReservoir(n_photons=n, m_magnitude=n)
         rho, _ = dynamics.steady_state(dynamics.build_squeezed(dicke, res_c))
         rc = basis.basis_transform("to_collective", rho)
-        ref = analytic.squeezed_steady_dicke(n, n)
+        ref = oracles.squeezed_steady_dicke(n, n)
         assert rc[1, 1].real == pytest.approx(ref["rss"], abs=1e-8)
     assert worst_finite < 1e-8 and worst_secular < 1e-8
     _report(6, f"squeezed steady states: finite dev {worst_finite:.1e}, "
@@ -237,11 +237,11 @@ def test_criterion_07_tpe_purity_and_annihilation():
     rho, _ = dynamics.steady_state(gen)
     assert observables.purity(rho) == pytest.approx(1.0, abs=1e-8)
     rc = basis.basis_transform("to_collective", rho)
-    states = analytic.entangled_eigenstates(rc)
+    states = oracles.entangled_eigenstates(rc)
     label, population, vec4 = states[0]
     assert label == "tpe_plus" and population == pytest.approx(1.0, abs=1e-8)
     psi_product = DICKE_BASIS @ vec4
-    residual = analytic.tpe_annihilation_residual(psi_product, n)
+    residual = oracles.tpe_annihilation_residual(psi_product, n)
     assert residual < 1e-10
     _report(7, f"two-photon entangled steady state pure, annihilation "
                f"residual {residual:.1e}",
@@ -256,7 +256,7 @@ def test_criterion_08_jump_master_equivalence():
     grid = np.linspace(0.0, 5.0, 20)
     gen = dynamics.build_vacuum_drive(pair, drive)
     ensemble = jumps.run_trajectories(gen, rho0, 10_000, seed=2024,
-                                      grid=grid, workers=4)
+                                      grid=grid)
     reference = dynamics.evolve(gen, rho0, grid)
     chi2, dof = 0.0, 0
     for k in range(len(grid)):
@@ -271,7 +271,7 @@ def test_criterion_08_jump_master_equivalence():
     assert chi2 < bound, f"chi2 {chi2:.1f} exceeds 3-sigma bound {bound:.1f}"
     # determinism: the first streams of the same seed reproduce bit for bit
     probe = jumps.run_trajectories(gen, rho0, 64, seed=2024,
-                                   grid=grid, workers=2)
+                                   grid=grid)
     for rec_a, rec_b in zip(probe.records, ensemble.records[:64]):
         assert np.array_equal(rec_a.jump_times, rec_b.jump_times)
         assert np.array_equal(rec_a.channels, rec_b.channels)
@@ -291,7 +291,7 @@ def test_criterion_09_visibility():
                 pair, geometry.DriveField(rabi=rabi, detuning=detuning))
             rho, _ = dynamics.steady_state(gen)
             got = observables.visibility(rho)
-            ref = analytic.driven_visibility(rabi, detuning, GAMMA)
+            ref = oracles.driven_visibility(rabi, detuning, GAMMA)
             worst = max(worst, abs(got - ref))
     assert worst < 1e-8
     worst_squeezed = 0.0
@@ -303,7 +303,7 @@ def test_criterion_09_visibility():
                 separation=oracles.separation_for_damping(a))
             rho, _ = dynamics.steady_state(dynamics.build_squeezed(pair, res))
             got = observables.visibility(rho)
-            ref = analytic.squeezed_visibility(n, m, a)
+            ref = oracles.squeezed_visibility(n, m, a)
             worst_squeezed = max(worst_squeezed, abs(got - ref))
     assert worst_squeezed < 1e-8
     # strong-field limit of the ideal quantum bath approaches -1/2

@@ -63,15 +63,15 @@ class TestBuildBasis:
 class TestSuperpositionRates:
     def test_dicke_limit_antisymmetric_dark(self):
         p = pair(0.0, gamma2=3.0)
-        coeffs = basis.decay_weighted_coeffs(p)
-        _, gaa, gas, gsa = basis.superposition_rates(coeffs, p)
+        coeffs = oracles.decay_weighted_coeffs(p)
+        _, gaa, gas, gsa = oracles.superposition_rates(coeffs, p)
         assert abs(gaa) < 1e-14
         assert abs(gas) < 1e-14 and abs(gsa) < 1e-14
 
     def test_equal_rates_no_cross_damping(self):
         p = pair(0.4)
-        coeffs = basis.decay_weighted_coeffs(p)
-        _, _, gas, gsa = basis.superposition_rates(coeffs, p)
+        coeffs = oracles.decay_weighted_coeffs(p)
+        _, _, gas, gsa = oracles.superposition_rates(coeffs, p)
         assert abs(gas) < 1e-14 and abs(gsa) < 1e-14
 
     def test_unequal_rates_frozen_values(self):
@@ -81,8 +81,8 @@ class TestSuperpositionRates:
         s = oracles.separation_for_damping(0.5)
         p = pair(s, gamma2=4.0)  # sqrt(g1 g2) F = 2 * 0.5 = 1
         assert geometry.collective_damping(p) == pytest.approx(1.0, abs=1e-10)
-        coeffs = basis.decay_weighted_coeffs(p)
-        gss, gaa, gas, gsa = basis.superposition_rates(coeffs, p)
+        coeffs = oracles.decay_weighted_coeffs(p)
+        gss, gaa, gas, gsa = oracles.superposition_rates(coeffs, p)
         assert gss.real == pytest.approx(4.2, abs=1e-10)
         assert gaa.real == pytest.approx(0.8, abs=1e-10)
         assert gas.real == pytest.approx(-0.6, abs=1e-10)
@@ -91,7 +91,7 @@ class TestSuperpositionRates:
     def test_identical_atoms_superradiant_pair(self):
         p = pair(0.08)
         g12 = geometry.collective_damping(p)
-        gss, gaa, _, _ = basis.superposition_rates(basis.equal_coeffs(), p)
+        gss, gaa, _, _ = oracles.superposition_rates(oracles.equal_coeffs(), p)
         assert gss.real == pytest.approx(1.0 + g12, abs=1e-12)
         assert gaa.real == pytest.approx(1.0 - g12, abs=1e-12)
 
@@ -101,9 +101,9 @@ class TestSuperpositionRates:
             p = pair(float(rng.uniform(0.05, 2.0)),
                      gamma2=float(rng.uniform(0.3, 3.0)))
             u = float(rng.uniform(0.05, 0.95))
-            coeffs = basis.SuperpositionCoeffs(u=math.sqrt(u),
-                                               v=math.sqrt(1 - u))
-            gss, gaa, _, _ = basis.superposition_rates(coeffs, p)
+            coeffs = oracles.SuperpositionCoeffs(u=math.sqrt(u),
+                                                 v=math.sqrt(1 - u))
+            gss, gaa, _, _ = oracles.superposition_rates(coeffs, p)
             assert (gss + gaa).real == pytest.approx(p.gamma1 + p.gamma2,
                                                      abs=1e-12)
             assert abs((gss + gaa).imag) < 1e-12
@@ -114,8 +114,8 @@ class TestCoherentCouplings:
         p = pair(0.2)
         omega12 = geometry.dipole_dipole_shift(p)
         drive = geometry.DriveField(rabi=1.0, detuning=0.7)
-        shift, coupling = basis.coherent_couplings(basis.equal_coeffs(), p,
-                                                   drive)
+        shift, coupling = oracles.coherent_couplings(oracles.equal_coeffs(),
+                                                     p, drive)
         assert shift == pytest.approx(omega12, abs=1e-12)
         assert abs(coupling) < 1e-14
 
@@ -128,12 +128,12 @@ class TestCoherentCouplings:
         p = pair(s)
         drive = geometry.DriveField(rabi=1.0, detuning=det,
                                     propagation_angle=0.0)
-        coeffs = basis.drive_weighted_coeffs(drive, p)
-        _, _, gas, gsa = basis.superposition_rates(coeffs, p)
+        coeffs = oracles.drive_weighted_coeffs(drive, p)
+        _, _, gas, gsa = oracles.superposition_rates(coeffs, p)
         kr = 2 * math.pi * s
         assert gas == pytest.approx(-1j * math.sin(kr), abs=1e-12)
         assert gsa == pytest.approx(+1j * math.sin(kr), abs=1e-12)
-        _, coupling = basis.coherent_couplings(coeffs, p, drive)
+        _, coupling = oracles.coherent_couplings(coeffs, p, drive)
         assert coupling == pytest.approx(-1j * det * math.sin(kr), abs=1e-12)
 
     def test_standing_wave_coupling(self):
@@ -144,8 +144,8 @@ class TestCoherentCouplings:
         omega12 = geometry.dipole_dipole_shift(p)
         drive = geometry.DriveField(rabi=1.0, propagation_angle=0.0,
                                     wave_type="standing", phase=math.pi * s)
-        coeffs = basis.drive_weighted_coeffs(drive, p)
-        _, coupling = basis.coherent_couplings(coeffs, p, drive)
+        coeffs = oracles.drive_weighted_coeffs(drive, p)
+        _, coupling = oracles.coherent_couplings(coeffs, p, drive)
         kr = 2 * math.pi * s
         expected = omega12 * math.sin(kr) ** 2 / (1 + math.cos(kr) ** 2)
         assert coupling.real == pytest.approx(expected, abs=1e-12)
@@ -154,10 +154,10 @@ class TestCoherentCouplings:
     def test_no_coupling_for_equal_rates(self, rng):
         for _ in range(20):
             p = pair(float(rng.uniform(0.05, 1.0)))
-            coeffs = basis.decay_weighted_coeffs(p)
+            coeffs = oracles.decay_weighted_coeffs(p)
             drive = geometry.DriveField(rabi=1.0,
                                         detuning=float(rng.uniform(-3, 3)))
-            _, coupling = basis.coherent_couplings(coeffs, p, drive)
+            _, coupling = oracles.coherent_couplings(coeffs, p, drive)
             assert abs(coupling) < 1e-14
 
 

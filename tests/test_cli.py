@@ -83,7 +83,7 @@ class TestRunScenario:
         assert row["rho_ss"] == pytest.approx(ref[1, 1].real, abs=1e-10)
         assert row["rho_ee"] == pytest.approx(ref[3, 3].real, abs=1e-10)
         assert row["visibility"] == pytest.approx(
-            analytic.driven_visibility(0.5, 2.0, 1.0), abs=1e-10)
+            oracles.driven_visibility(0.5, 2.0, 1.0), abs=1e-10)
 
     def test_jump_scenario_deterministic(self):
         text = ("scenario = jump\nseparation = 0.2\nrabi = 2.0\n"
@@ -132,7 +132,7 @@ class TestRunScenario:
         table = run_scenario(cfg)
         assert table.metadata["degenerate"] == 1
         got = table.column("g2")
-        ref = analytic.dressed_g2(table.column("tau"), 1.0, 40.0)
+        ref = oracles.dressed_g2(table.column("tau"), 1.0, 40.0)
         assert np.abs(got - ref).max() < 1e-6
 
     def test_variance_scenario_transient_dip(self):
@@ -406,7 +406,9 @@ class TestCliEntry:
 
     def test_engine_runs_without_scipy(self):
         # scipy is a test-only dependency: importing the package and
-        # running every kind of scenario through it must not load it
+        # running every kind of scenario through it must not load it; nor
+        # may the entangled-eigenstate preset load the closed forms, which
+        # only the benchmark's checks read
         import os
         import subprocess
         import sys
@@ -422,13 +424,15 @@ class TestCliEntry:
             "                       'rabi = 1.0\\ngrid_stop = 1\\n'\n"
             "                       'grid_points = 5\\nn_traj = 4\\n')\n"
             "    twoatom.runner.run_scenario(cfg).to_csv()\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+            "twoatom.figures.run_figure('fig21').to_csv()\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print('twoatom.analytic' in sys.modules)\n")
         env = dict(os.environ,
                    PYTHONPATH=str(Path(twoatom.__file__).resolve().parents[1]))
         result = subprocess.run([sys.executable, "-c", script], env=env,
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
+        assert result.stdout.split() == ["[]", "False"]
 
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         # an exhausted jump budget surfaces as a numerical error

@@ -50,7 +50,7 @@ class TestVacuumDrive:
         gen = dynamics.build_vacuum_drive(p, drive)
         rho, degenerate = dynamics.steady_state(gen)
         assert not degenerate
-        ref = analytic.driven_correlators_extended(
+        ref = oracles.driven_correlators_extended(
             1.3, 1.0, geometry.collective_damping(p),
             geometry.dipole_dipole_shift(p))
         assert expect(S1P @ S1M, rho).real == pytest.approx(
@@ -64,7 +64,7 @@ class TestVacuumDrive:
         gen = dynamics.build_vacuum_drive(p, geometry.DriveField(rabi=0.0))
         grid = np.linspace(0, 2, 9)
         series = dynamics.evolve(gen, ket_density(KET_EG), grid)
-        pss_ref, paa_ref = analytic.population_decay(grid, 1.0, g12)
+        pss_ref, paa_ref = oracles.population_decay(grid, 1.0, g12)
         pops = np.array([basis.collective_populations(series.states[k])
                          for k in range(len(grid))])
         assert np.abs(pops[:, 1] - pss_ref).max() < 1e-8
@@ -75,7 +75,7 @@ class TestVacuumDrive:
                                           geometry.DriveField(rabi=2.0))
         rho, degenerate = dynamics.steady_state(gen)
         assert degenerate
-        ref = analytic.driven_correlators_dicke(2.0, 1.0)
+        ref = oracles.driven_correlators_dicke(2.0, 1.0)
         assert expect(S1P @ S1M, rho).real == pytest.approx(
             ref["population"], abs=1e-10)
         assert expect(S1P @ S2M, rho).real == pytest.approx(
@@ -133,7 +133,7 @@ class TestSqueezed:
         assert gen.meta["secular"]
         rho, _ = dynamics.steady_state(gen)
         rc = basis.basis_transform("to_collective", rho)
-        ref = analytic.squeezed_steady_secular(n, m, a)
+        ref = oracles.squeezed_steady_secular(n, m, a)
         assert rc[1, 1].real == pytest.approx(ref["rss"], abs=1e-12)
         assert rc[2, 2].real == pytest.approx(ref["raa"], abs=1e-12)
         assert rc[3, 3].real == pytest.approx(ref["ree"], abs=1e-12)
@@ -145,7 +145,7 @@ class TestSqueezed:
         gen = dynamics.build_squeezed(pair(0.0), res)
         rho, _ = dynamics.steady_state(gen)
         rc = basis.basis_transform("to_collective", rho)
-        ref = analytic.squeezed_steady_dicke(n, n)
+        ref = oracles.squeezed_steady_dicke(n, n)
         assert rc[1, 1].real == pytest.approx(ref["rss"], abs=1e-10)
         assert rc[3, 3].real == pytest.approx(ref["ree"], abs=1e-10)
         rgg, rss, ree = rc[0, 0].real, rc[1, 1].real, rc[3, 3].real
@@ -259,7 +259,7 @@ class TestDickeDressed:
         taus = np.linspace(0, 4, 161)
         geom = observables.DetectionGeometry(theta1=math.pi / 2)
         series = observables.g2_tau(gen, rho, pair(0.0), geom, taus)
-        ref = analytic.dressed_g2(taus, 1.0, om)
+        ref = oracles.dressed_g2(taus, 1.0, om)
         assert np.abs(series.values - ref).max() < 1e-6
 
 
@@ -421,6 +421,22 @@ class TestSteadyState:
             rho, flag = dynamics.steady_state(gen, reference=reference)
             assert np.abs(states[k] - rho).max() <= 1e-13
             assert degenerate[k] == flag
+
+    @pytest.mark.parametrize("scale", [1e8, 1e12])
+    def test_degenerate_residual_is_ranked_against_the_rates(self, scale):
+        # the Dicke pair at separation 0 with every rate and frequency
+        # scaled: the projected state's residual grows with ||L||, so only
+        # a bound relative to the channel rates accepts it
+        def populations(s):
+            gen = dynamics.build_vacuum_drive(
+                pair(0.0, gamma1=s, gamma2=s), geometry.DriveField(rabi=s))
+            rho, degenerate = dynamics.steady_state(gen)
+            assert degenerate
+            return basis.collective_populations(rho)
+
+        reference = populations(1.0)
+        assert np.abs(reference - [7 / 11, 3 / 11, 0.0, 1 / 11]).max() < 1e-12
+        assert np.abs(populations(scale) - reference).max() < 1e-10
 
     def test_stack_with_a_point_without_null_vector_raises(self):
         gen = dynamics.build_vacuum_drive(pair(0.3),

@@ -162,11 +162,11 @@ class TestSqueezing:
         assert geometry.effective_squeezing(res) == (0.0, 0.0)
 
     def test_classification(self):
-        assert geometry.classify_squeezing(0, 0) == "vacuum"
-        assert geometry.classify_squeezing(1.0, math.sqrt(2.0)) == "quantum"
-        assert geometry.classify_squeezing(1.0, 1.0) == "classical"
-        assert geometry.classify_squeezing(0.5, 2.0) == "invalid"
-        assert geometry.classify_squeezing(1.0, 0.0) == "classical"
+        assert oracles.classify_squeezing(0, 0) == "vacuum"
+        assert oracles.classify_squeezing(1.0, math.sqrt(2.0)) == "quantum"
+        assert oracles.classify_squeezing(1.0, 1.0) == "classical"
+        assert oracles.classify_squeezing(0.5, 2.0) == "invalid"
+        assert oracles.classify_squeezing(1.0, 0.0) == "classical"
 
     def test_invalid_reservoir_rejected(self):
         with pytest.raises(ValidationError):
@@ -181,7 +181,7 @@ class TestSqueezing:
                 matching=float(rng.uniform(0, 1)),
                 solid_angle=float(rng.uniform(0.1, math.pi)))
             n_eff, m_eff = geometry.effective_squeezing(res)
-            assert geometry.classify_squeezing(n_eff, m_eff) != "invalid"
+            assert oracles.classify_squeezing(n_eff, m_eff) != "invalid"
 
     def test_gaussian_matching_bounded(self):
         for w0 in (0.1, 1.0, 5.0):

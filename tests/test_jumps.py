@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
+import oracles
 from conftest import random_density_matrix, random_pair
 from data.pin_jump_records import PINNED, ensemble as pinned_ensemble
 from twoatom import dynamics, geometry, jumps, observables
@@ -91,9 +93,9 @@ class TestNoJumpStatistics:
         g12 = geometry.collective_damping(p)
         gen = vacuum(p)
         t = np.linspace(0, 4, 9)
-        assert np.abs(jumps.no_jump_probability(KET_S, t, gen)
+        assert np.abs(oracles.no_jump_probability(KET_S, t, gen)
                       - np.exp(-(1 + g12) * t)).max() < 1e-10
-        assert np.abs(jumps.no_jump_probability(KET_A, t, gen)
+        assert np.abs(oracles.no_jump_probability(KET_A, t, gen)
                       - np.exp(-(1 - g12) * t)).max() < 1e-10
 
     def test_single_excited_atom_nearly_independent(self):
@@ -102,7 +104,7 @@ class TestNoJumpStatistics:
         gen = vacuum(pair(80.0))
         t = np.linspace(0, 4, 9)
         from twoatom.operators import KET_EG
-        prob = jumps.no_jump_probability(KET_EG, t, gen)
+        prob = oracles.no_jump_probability(KET_EG, t, gen)
         assert np.abs(prob - np.exp(-t)).max() < 1e-4
 
     def test_monotone_nonincreasing(self, rng):
@@ -112,7 +114,7 @@ class TestNoJumpStatistics:
             gen = vacuum(p, drive)
             psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             t = np.linspace(0, 6, 400)
-            prob = jumps.no_jump_probability(psi, t, gen)
+            prob = oracles.no_jump_probability(psi, t, gen)
             assert np.all(np.diff(prob) <= 1e-12)
 
     def test_waiting_density_single_channel(self):
@@ -121,8 +123,8 @@ class TestNoJumpStatistics:
         gen = vacuum(p)
         t = np.linspace(0, 3, 7)
         ref = (1 + g12) * np.exp(-(1 + g12) * t)
-        assert np.abs(jumps.waiting_time_density(KET_S, t, gen) - ref).max() \
-            < 1e-10
+        assert np.abs(oracles.waiting_time_density(KET_S, t, gen)
+                      - ref).max() < 1e-10
 
     def test_waiting_density_normalization_doubly_excited(self):
         gen = vacuum(pair(0.0))
@@ -134,7 +136,8 @@ class TestNoJumpStatistics:
     def test_dark_state_never_emits(self):
         gen = vacuum(pair(0.0))
         t = np.linspace(0, 10, 50)
-        assert np.abs(jumps.waiting_time_density(KET_A, t, gen)).max() < 1e-12
+        assert np.abs(oracles.waiting_time_density(KET_A, t,
+                                                   gen)).max() < 1e-12
 
     def test_density_nonnegative_and_subnormalized(self, rng):
         for _ in range(10):
@@ -142,10 +145,10 @@ class TestNoJumpStatistics:
             gen = vacuum(p)
             psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             t = np.linspace(0, 8, 2001)
-            dens = jumps.waiting_time_density(psi, t, gen)
+            dens = oracles.waiting_time_density(psi, t, gen)
             assert dens.min() > -1e-10
             # the density integrates to the emitted probability, below one
-            prob = jumps.no_jump_probability(psi, t, gen)
+            prob = oracles.no_jump_probability(psi, t, gen)
             integral = np.trapezoid(dens, t)
             assert integral == pytest.approx(1.0 - prob[-1], abs=1e-4)
             assert integral <= 1.0 + 1e-10
@@ -154,7 +157,7 @@ class TestNoJumpStatistics:
         gen = vacuum(pair(80.0))
         t = np.linspace(0, 4, 9)
         from twoatom.operators import KET_EG
-        dens = jumps.waiting_time_density(KET_EG, t, gen)
+        dens = oracles.waiting_time_density(KET_EG, t, gen)
         assert np.abs(dens - np.exp(-t)).max() < 1e-3
 
     def test_initial_flux_matches_reset_rate(self, rng):
@@ -165,7 +168,7 @@ class TestNoJumpStatistics:
             gen = vacuum(p, drive)
             psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             psi = psi / np.linalg.norm(psi)
-            flux = jumps.waiting_time_density(psi, 0.0, gen)
+            flux = oracles.waiting_time_density(psi, 0.0, gen)
             _, rate = gen.reset(np.outer(psi, psi.conj()))
             assert flux == pytest.approx(rate, abs=1e-8)
 
@@ -192,7 +195,7 @@ class TestPropagator:
             jumps.NoJumpPropagator(undriven(0.5))
         ensemble = jumps.run_trajectories(
             undriven(0.49999), ket_density(KET_EE), 40, 3,
-            np.linspace(0.0, 4.0, 9), workers=1)
+            np.linspace(0.0, 4.0, 9))
         assert sum(r.jump_times.size for r in ensemble.records) > 0
         assert np.isfinite(ensemble.mean_states).all()
 
@@ -227,9 +230,9 @@ class TestTrajectories:
         rho0 = np.diag([1.0, 0, 0, 0]).astype(complex)
         grid = np.linspace(0, 4, 9)
         a = jumps.run_trajectories(vacuum(p, drive), rho0, 40, seed=11,
-                                   grid=grid, workers=1)
+                                   grid=grid)
         b = jumps.run_trajectories(vacuum(p, drive), rho0, 40, seed=11,
-                                   grid=grid, workers=2)
+                                   grid=grid)
         assert np.array_equal(a.mean_states, b.mean_states)
         for ra, rb in zip(a.records, b.records):
             assert np.array_equal(ra.jump_times, rb.jump_times)
@@ -241,9 +244,9 @@ class TestTrajectories:
         rho0 = np.diag([1.0, 0, 0, 0]).astype(complex)
         grid = np.linspace(0, 4, 5)
         a = jumps.run_trajectories(vacuum(p, drive), rho0, 10, seed=1,
-                                   grid=grid, workers=1)
+                                   grid=grid)
         b = jumps.run_trajectories(vacuum(p, drive), rho0, 10, seed=2,
-                                   grid=grid, workers=1)
+                                   grid=grid)
         assert any(not np.array_equal(ra.jump_times, rb.jump_times)
                    for ra, rb in zip(a.records, b.records))
 
@@ -253,7 +256,7 @@ class TestTrajectories:
         rho0 = np.diag([1.0, 0, 0, 0]).astype(complex)
         grid = np.linspace(0, 5, 11)
         ens = jumps.run_trajectories(vacuum(p, drive), rho0, 1200, seed=3,
-                                     grid=grid, workers=1)
+                                     grid=grid)
         gen = dynamics.build_vacuum_drive(p, drive)
         ref = dynamics.evolve(gen, rho0, grid)
         for k in range(len(grid)):
@@ -269,7 +272,7 @@ class TestTrajectories:
     def test_dark_initial_state_never_jumps(self):
         ens = jumps.run_trajectories(vacuum(pair(0.0)), ket_density(KET_A),
                                      25, seed=5,
-                                     grid=np.linspace(0, 10, 5), workers=1)
+                                     grid=np.linspace(0, 10, 5))
         assert all(rec.jump_times.size == 0 for rec in ens.records)
 
     def test_budget_error_carries_partial(self):
@@ -278,7 +281,7 @@ class TestTrajectories:
         rho0 = np.diag([1.0, 0, 0, 0]).astype(complex)
         with pytest.raises(TrajectoryBudgetError):
             jumps.run_trajectories(vacuum(p, drive), rho0, 2, seed=1,
-                                   grid=np.linspace(0, 400, 5), workers=1,
+                                   grid=np.linspace(0, 400, 5),
                                    max_jumps=3)
         # streams 1 and 2 both take their third jump in the third round,
         # stream 0 never jumps: the error names stream 1, the lowest
@@ -338,7 +341,7 @@ class TestTrajectories:
         rho0 = ket_density(KET_EE)
         grid = np.linspace(0, 2.0, 9)
         ens = jumps.run_trajectories(vacuum(p), rho0, 1500, seed=9,
-                                     grid=grid, workers=1)
+                                     grid=grid)
         mids = 0.5 * (grid[1:] + grid[:-1])
         ref_states = dynamics.evolve(
             dynamics.build_vacuum_drive(p, geometry.DriveField(rabi=0.0)),
@@ -347,6 +350,43 @@ class TestTrajectories:
             _, rate = vacuum(p).reset(ref_states.states[k])
             tol = 4 * ens.emission_rate_stderr[k] + 0.05 * rate
             assert abs(ens.emission_rate[k] - rate) < tol
+
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e9, 1e12, 1e13])
+    def test_ensemble_is_covariant_under_a_change_of_rate_unit(self, scale):
+        # scaling every rate and frequency by s and every time by 1/s maps
+        # the ensemble onto itself: same jumps at times t / s
+        def ensemble(s):
+            gen = vacuum(pair(0.2, gamma1=s, gamma2=s),
+                         geometry.DriveField(rabi=0.8 * s))
+            return jumps.run_trajectories(gen, ket_density(KET_EE), 200,
+                                          seed=3,
+                                          grid=np.linspace(0, 5 / s, 41))
+
+        base, scaled = ensemble(1.0), ensemble(scale)
+        assert np.array_equal(scaled.jump_counts, base.jump_counts)
+        assert np.array_equal(scaled.channels, base.channels)
+        assert np.abs(scaled.jump_times * scale
+                      - base.jump_times).max() <= 5e-12
+        assert np.abs(scaled.mean_states - base.mean_states).max() <= 1e-12
+
+    def test_memory_does_not_grow_with_the_number_of_blocks(self):
+        # an ensemble runs in blocks of SAMPLES // grid.size trajectories;
+        # a block's working arrays must be released once it is done
+        gen = vacuum(pair(0.2), geometry.DriveField(rabi=1.0))
+        grid = np.linspace(0, 5, 1001)
+        block = jumps.SAMPLES // grid.size
+
+        def peak(n_traj):
+            tracemalloc.start()
+            try:
+                jumps.run_trajectories(gen, ket_density(KET_EE), n_traj,
+                                       seed=1, grid=grid)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8 * block) <= 2 * peak(block)
 
 
 class TestPhiloxDraws:
@@ -394,8 +434,8 @@ class TestExport:
         drive = geometry.DriveField(rabi=2.0)
         rho0 = np.diag([1.0, 0, 0, 0]).astype(complex)
         ens = jumps.run_trajectories(vacuum(p, drive), rho0, 6, seed=4,
-                                     grid=np.linspace(0, 4, 5), workers=1)
-        text = jumps.export_records(ens.records)
+                                     grid=np.linspace(0, 4, 5))
+        text = ens.render_records()["records.txt"]
         lines = text.strip().splitlines()
         assert len(lines) == 6
         for line, rec in zip(lines, ens.records):

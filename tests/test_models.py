@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
+import oracles
 from oracles import dissipator, hamiltonian_superop
 from twoatom import dynamics, geometry, jumps
 from twoatom.errors import ValidationError
@@ -115,7 +116,7 @@ def check_model(gen: dynamics.Generator, psi: list) -> None:
     assume(np.linalg.norm(ket) > 1e-2)
     ket = ket / np.linalg.norm(ket)
     try:
-        flux = jumps.waiting_time_density(ket, 0.0, gen)
+        flux = oracles.waiting_time_density(ket, 0.0, gen)
     except ValidationError:
         assume(False)  # defective no-jump Hamiltonian (exceptional point)
     _, rate = gen.reset(np.outer(ket, ket.conj()))
